@@ -75,7 +75,9 @@ def derivation_basis(g: LieAlgebra) -> DerivationBasis:
         raise ValueError(f"not a Lie algebra (Jacobi defect {defect:g})")
     n = g.dim
     L = _leibniz_operator(g)
-    _, s, vt = np.linalg.svd(L, full_matrices=True)
+    # For n >= 3, L has more rows than columns and the thin V^T already
+    # spans the null space; only n = 2 needs the full square V^T.
+    _, s, vt = np.linalg.svd(L, full_matrices=L.shape[0] < L.shape[1])
     smax = s[0] if s.size and s[0] > 0 else 1.0
     rank = int(np.sum(s >= NULLSPACE_RTOL * smax))
     mats = vt[rank:].reshape(-1, n, n)
@@ -152,7 +154,7 @@ def conjugated_derivation_basis(basis: DerivationBasis, lam: float) -> Derivatio
     # E_{n,2}^2 = 0, so the inverse is I + lam E_{n,2} exactly.
     g_inv = np.eye(n)
     g_inv[n - 1, 1] = lam
-    conj = np.einsum("ab,dbc,ce->dae", g_inv, basis.mats, g_lam)
+    conj = g_inv @ basis.mats @ g_lam
     flat = conj.reshape(basis.dim, n * n)
     _, s, vt = np.linalg.svd(flat, full_matrices=False)
     smax = s[0] if s.size and s[0] > 0 else 1.0

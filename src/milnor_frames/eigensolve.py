@@ -5,7 +5,9 @@ and the Jacobi iteration is simple, accurate, and has no tunable state
 beyond the convergence threshold.  A sweep visits every off-diagonal
 pair (p, q) once and applies the Givens rotation that zeroes A[p, q];
 iteration stops when the off-diagonal Frobenius norm drops below
-``tol * ||A||_F``.
+``tol * ||A||_F``.  A matrix still above that after ``MAX_SWEEPS``
+sweeps raises ``numpy.linalg.LinAlgError`` instead of returning
+unconverged eigenvalues.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ def jacobi_eigh(a: np.ndarray, tol: float = CONVERGENCE_RTOL) -> tuple[np.ndarra
     """Eigendecomposition of a symmetric matrix.
 
     Returns (eigenvalues ascending, eigenvectors as columns) with
-    A @ V = V @ diag(w).
+    A @ V = V @ diag(w).  Raises ``numpy.linalg.LinAlgError`` when the
+    iteration has not converged after ``MAX_SWEEPS`` sweeps.
     """
     A = np.array(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -57,6 +60,14 @@ def jacobi_eigh(a: np.ndarray, tol: float = CONVERGENCE_RTOL) -> tuple[np.ndarra
                 vp, vq = V[:, p].copy(), V[:, q].copy()
                 V[:, p] = c * vp - s * vq
                 V[:, q] = s * vp + c * vq
+    else:
+        # the last sweep may have converged; only its check is missing
+        off = np.linalg.norm(A - np.diag(np.diag(A)), "fro")
+        if off > tol * norm:
+            raise np.linalg.LinAlgError(
+                f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps "
+                f"(off-diagonal norm {off:.3e}, target {tol * norm:.3e})"
+            )
 
     w = np.diag(A).copy()
     order = np.argsort(w, kind="stable")

@@ -41,7 +41,7 @@ CONDITION_WARN = 1e12
 
 
 def validate_gram(G: np.ndarray) -> np.ndarray:
-    """Check symmetry and positive definiteness; return a frozen copy.
+    """Check finiteness, symmetry and positive definiteness; return a frozen copy.
 
     Symmetry must hold within 1e-10 of the matrix scale; definiteness is
     certified by a successful triangular factorization.
@@ -49,6 +49,9 @@ def validate_gram(G: np.ndarray) -> np.ndarray:
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ShapeError(f"Gram matrix must be square, got {G.shape}")
+    # NaN compares false, so it would slip past the symmetry check below.
+    if not np.all(np.isfinite(G)):
+        raise ShapeError("Gram matrix must be finite")
     scale = float(np.max(np.abs(G))) or 1.0
     if np.max(np.abs(G - G.T)) >= 1e-10 * scale:
         raise ShapeError("Gram matrix is not symmetric")

@@ -97,6 +97,17 @@ def test_malformed_metric_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_metric_exits_1(tmp_path, capsys, bad):
+    path = tmp_path / "metric.txt"
+    path.write_text(f"1.0 0.0 0.0\n0.0 {bad} 0.0\n0.0 0.0 1.0\n")
+    code, _, err = run_cli(
+        ["reduce", "--family", "rh-line", "--dim", "3", "--metric", str(path)], capsys
+    )
+    assert code == 1
+    assert "finite" in err
+
+
 def test_dim_mismatch_exits_1(tmp_path, capsys):
     path = tmp_path / "metric.txt"
     path.write_text(format_gram(np.eye(3)))
@@ -153,6 +164,20 @@ def test_numerical_failure_maps_to_exit_2(monkeypatch, capsys):
     )
     assert code == 2
     assert "numerical" in err
+
+
+def test_eigensolver_non_convergence_exits_2(monkeypatch, tmp_path, capsys):
+    from milnor_frames import eigensolve
+
+    G = sample_metric(RandomMetricSpec(seed=5), 5)
+    path = tmp_path / "metric.txt"
+    path.write_text(format_gram(G))
+    monkeypatch.setattr(eigensolve, "MAX_SWEEPS", 1)
+    code, _, err = run_cli(
+        ["curvature", "--family", "rh-line", "--dim", "5", "--metric", str(path)], capsys
+    )
+    assert code == 2
+    assert "converge" in err
 
 
 def test_curvature_text_output(capsys):

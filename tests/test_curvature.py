@@ -49,6 +49,23 @@ class TestJacobiEigensolver:
         with pytest.raises(ShapeError):
             jacobi_eigh(np.ones((2, 3)))
 
+    def test_non_convergence_raises(self, monkeypatch):
+        from milnor_frames import eigensolve
+
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(6, 6))
+        monkeypatch.setattr(eigensolve, "MAX_SWEEPS", 1)
+        with pytest.raises(np.linalg.LinAlgError, match="converge"):
+            jacobi_eigh(a + a.T)
+
+    def test_convergence_on_the_last_sweep_is_accepted(self, monkeypatch):
+        # one rotation diagonalizes a 2x2 matrix exactly
+        from milnor_frames import eigensolve
+
+        monkeypatch.setattr(eigensolve, "MAX_SWEEPS", 1)
+        w, _ = jacobi_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        np.testing.assert_allclose(w, [1.0, 3.0], atol=1e-14)
+
 
 class TestConnection:
     @pytest.mark.parametrize("lam", [0.0, 1.0, 2.5])

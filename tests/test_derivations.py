@@ -31,6 +31,28 @@ def test_abelian_has_full_matrix_space():
     assert derivation_basis(alg).dim == 9
 
 
+def _aff1():
+    # [e_1, e_2] = e_2
+    c = np.zeros((2, 2, 2))
+    c[0, 1, 1] = 1.0
+    c[1, 0, 1] = -1.0
+    return LieAlgebra(dim=2, c=c)
+
+
+@pytest.mark.parametrize(
+    "alg, want",
+    [(LieAlgebra(dim=2, c=np.zeros((2, 2, 2))), 4), (_aff1(), 2)],
+    ids=["abelian-2", "aff1"],
+)
+def test_dim2_keeps_every_null_vector(alg, want):
+    # n = 2 is the one size whose Leibniz matrix is wider than tall, so
+    # part of the null space lies outside the thin SVD's V^T.
+    basis = derivation_basis(alg)
+    assert basis.dim == want
+    for D in basis.mats:
+        assert is_derivation(alg, D, tol=1e-12)[0]
+
+
 def test_rotation_algebra_has_only_inner_derivations():
     from milnor_frames import parse_structure_constants
 

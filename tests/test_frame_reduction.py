@@ -64,6 +64,17 @@ class TestValidateGram:
         with pytest.raises(ShapeError):
             validate_gram(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        G = np.eye(3)
+        G[0, 2] = G[2, 0] = bad
+        with pytest.raises(ShapeError, match="finite"):
+            validate_gram(G)
+        G = np.eye(3)
+        G[1, 1] = bad
+        with pytest.raises(ShapeError, match="finite"):
+            validate_gram(G)
+
 
 class TestGramToGroupElement:
     def test_identity(self):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -57,6 +57,18 @@ class TestBuildFamily:
     @pytest.mark.parametrize("n", range(3, 7))
     def test_families_are_lie_algebras(self, family, n):
         assert jacobi_defect(build_family(family, n)) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_constants_rejected(self, bad):
+        c = np.zeros((3, 3, 3))
+        c[0, 1, 2] = bad
+        c[1, 0, 2] = -bad
+        with pytest.raises(ShapeError, match="finite"):
+            LieAlgebra(dim=3, c=c)
+
+    def test_non_finite_text_input_rejected(self):
+        with pytest.raises(ShapeError, match="finite"):
+            parse_structure_constants("3\n1 2 3 nan\n")
 
     def test_antisymmetry_enforced(self):
         c = np.zeros((3, 3, 3))
@@ -176,7 +188,13 @@ class TestChangeBasis:
         with pytest.raises(SingularMatrixError):
             change_basis(alg, np.ones((3, 3)))
 
+    # The pinned seeds draw cond(P) of roughly 600-1400, where the round
+    # trip is most sensitive to the order of the contraction.
     @given(seed=st.integers(0, 2**31))
+    @example(seed=242)
+    @example(seed=306)
+    @example(seed=471)
+    @example(seed=1468)
     @settings(max_examples=30, deadline=None)
     def test_round_trip(self, seed):
         rng = np.random.default_rng(seed)
