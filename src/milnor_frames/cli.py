@@ -132,7 +132,7 @@ def _load_metric(config: RunConfig) -> np.ndarray:
 def _run_reduce(config: RunConfig) -> tuple[int, str]:
     alg = build_family(config.family, config.dim)
     G = _load_metric(config)
-    fr = reduce(alg, G, tol=config.tol)
+    fr = reduce(alg, G)
     res = fr.residuals
     payload = {
         "lambda": fr.lam,

@@ -1,4 +1,4 @@
-"""Derivation algebras Der(g) computed as a numerical null space.
+"""Derivation algebras Der(g): a numerical null space, and the families' closed form.
 
 A derivation is a linear map D with D[x, y] = [Dx, y] + [x, Dy].  The
 defect of that identity over all basis pairs is a linear function of D,
@@ -10,7 +10,14 @@ orthonormal in the Frobenius inner product.
 For the two built-in families the answer has a rigid shape: the first
 row vanishes, row 2 is supported on columns 1..2, column 2 vanishes
 below row 2, and the trailing (n-2) x (n-2) block is free, giving
-dimension (n-2)^2 + n.  ``pattern_check`` verifies exactly that.
+dimension (n-2)^2 + n.  ``family_derivation_basis`` builds that space
+directly as elementary matrices, with no SVD, and ``pattern_check``
+compares a computed basis against it.
+
+Which path serves whom: ``classify_metric`` works only on the built-in
+families and takes the closed form; the SVD of ``derivation_basis``
+serves CUSTOM algebras and the CLI ``derivations`` subcommand, and in
+``verify`` it is the independent oracle that certifies the closed form.
 """
 
 from __future__ import annotations
@@ -110,33 +117,43 @@ def _forbidden_mask(n: int) -> np.ndarray:
     return mask
 
 
+def family_derivation_basis(n: int) -> DerivationBasis:
+    """Der(g) of either built-in family in closed form.
+
+    The elementary matrices E_pq on the free positions of the family
+    pattern, in row-major order; distinct E_pq are Frobenius-orthonormal,
+    so the stack is a valid basis as it stands.  Both families share the
+    pattern, so only the dimension is needed.
+    """
+    rows, cols = np.nonzero(~_forbidden_mask(n))
+    mats = np.zeros((rows.size, n, n))
+    mats[np.arange(rows.size), rows, cols] = 1.0
+    return DerivationBasis(mats=mats)
+
+
 def pattern_check(g: LieAlgebra, basis: DerivationBasis) -> bool:
     """Verify the family derivation shape against a computed basis.
 
     True iff every basis element vanishes on the forbidden positions and
-    every free position is reachable, i.e. the span is the whole
-    pattern space.  Only defined for the built-in families.
+    the span reaches every free position, i.e. the span is the whole
+    closed-form space of ``family_derivation_basis``.  Only defined for
+    the built-in families.
     """
     if g.family_tag is Family.CUSTOM:
         raise UnsupportedFamilyError("pattern_check needs a built-in family")
     n = g.dim
     if basis.n != n:
         raise ShapeError(f"basis is {basis.n}x{basis.n}, algebra is {n}-dimensional")
-    forbidden = _forbidden_mask(n)
     mats = basis.mats
     scale = max(1.0, float(np.max(np.abs(mats))) if mats.size else 1.0)
-    if mats.size and np.max(np.abs(mats[:, forbidden])) > PATTERN_TOL * scale:
+    if mats.size and np.max(np.abs(mats[:, _forbidden_mask(n)])) > PATTERN_TOL * scale:
         return False
-    # Span check: each free elementary matrix must project onto the basis
-    # with no residual.
+    # Span check: projecting each closed-form element onto the basis must
+    # leave no residual.
     flat = mats.reshape(basis.dim, n * n)
-    for p, q in zip(*np.nonzero(~forbidden)):
-        e = np.zeros(n * n)
-        e[p * n + q] = 1.0
-        resid = e - flat.T @ (flat @ e)
-        if np.linalg.norm(resid) > PATTERN_TOL:
-            return False
-    return True
+    free = family_derivation_basis(n).mats.reshape(-1, n * n)
+    resid = free - (free @ flat.T) @ flat
+    return bool(np.max(np.linalg.norm(resid, axis=1)) <= PATTERN_TOL)
 
 
 def conjugated_derivation_basis(basis: DerivationBasis, lam: float) -> DerivationBasis:

@@ -73,7 +73,11 @@ def gram_to_group_element(G: np.ndarray) -> np.ndarray:
     lower-triangular matrices with positive diagonal: if g is such a
     matrix, gram_to_group_element((g g^T)^{-1}) reproduces g.
     """
-    G = validate_gram(G)
+    return _group_element(validate_gram(G))
+
+
+def _group_element(G: np.ndarray) -> np.ndarray:
+    """``gram_to_group_element`` for a Gram matrix already validated."""
     n = G.shape[0]
     flip = np.eye(n)[::-1]
     M = np.linalg.cholesky(flip @ G @ flip)
@@ -154,7 +158,7 @@ def _rotation_onto_last_axis(v2: np.ndarray) -> tuple[float, np.ndarray]:
     return lam, flip @ H
 
 
-def reduce(g_alg: LieAlgebra, G: np.ndarray, tol: float = DEFAULT_TOL) -> MilnorFrame:
+def reduce(g_alg: LieAlgebra, G: np.ndarray) -> MilnorFrame:
     """Reduce a family metric to its Milnor-type frame.
 
     Returns the parameter λ, the scale k, the frame matrix, the
@@ -170,7 +174,7 @@ def reduce(g_alg: LieAlgebra, G: np.ndarray, tol: float = DEFAULT_TOL) -> Milnor
         raise ShapeError(f"Gram matrix is {G.shape[0]}x{G.shape[0]}, algebra has dim {n}")
 
     cond = float(np.linalg.cond(G))
-    g = gram_to_group_element(G)
+    g = _group_element(G)
 
     _, T = _lq_positive(g)
     A1 = T[:2, :2]
@@ -221,8 +225,8 @@ def orbit_parameter_equal(
     automorphism orbit; disagreement is reported as parameter
     inequality only.
     """
-    lam1 = reduce(g_alg, G1, tol=tol).lam
-    lam2 = reduce(g_alg, G2, tol=tol).lam
+    lam1 = reduce(g_alg, G1).lam
+    lam2 = reduce(g_alg, G2).lam
     return abs(lam1 - lam2) <= tol
 
 

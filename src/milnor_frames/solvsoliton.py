@@ -20,7 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import closed_form_ricci
-from .derivations import DerivationBasis, conjugated_derivation_basis, derivation_basis
+from .derivations import (
+    DerivationBasis,
+    conjugated_derivation_basis,
+    family_derivation_basis,
+)
 from .errors import ShapeError
 from .frame_reduction import DEFAULT_TOL, reduce
 from .lie_core import LieAlgebra
@@ -92,12 +96,15 @@ def classify_metric(
     """Reduce a family metric and decide the solvsoliton condition.
 
     Runs the frame reduction, builds the closed-form Ricci operator at
-    scale k = 1, conjugates the derivation basis into the frame, and
-    solves.  Returns the verdict together with the frame parameter λ;
-    the verdict is solvsoliton exactly when λ = 0.
+    scale k = 1, conjugates the closed-form family Der(g) of
+    ``family_derivation_basis`` into the frame, and solves.  The SVD of
+    ``derivation_basis`` is not run here: it serves CUSTOM algebras, which
+    ``reduce`` rejects, and certifies the closed form in ``verify``.
+    Returns the verdict together with the frame parameter λ; the verdict
+    is solvsoliton exactly when λ = 0.
     """
-    frame = reduce(g_alg, G, tol=tol)
+    frame = reduce(g_alg, G)
     ric = closed_form_ricci(g_alg.family_tag, g_alg.dim, frame.lam).ric
-    basis = conjugated_derivation_basis(derivation_basis(g_alg), frame.lam)
+    basis = conjugated_derivation_basis(family_derivation_basis(g_alg.dim), frame.lam)
     verdict = solvsoliton_solve(ric, basis, tol=tol)
     return verdict, frame.lam

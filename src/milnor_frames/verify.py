@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import closed_form_ricci, levi_civita, ricci_operator, riemann
-from .derivations import derivation_basis, pattern_check
+from .derivations import derivation_basis, family_derivation_basis, pattern_check
 from .eigensolve import jacobi_eigh
 from .frame_reduction import reduce
 from .lie_core import FAMILIES, Family, build_family, change_basis, milnor_pattern
@@ -375,7 +375,12 @@ def check_einstein_nonexistence(samples_per_dim: int = 50) -> CriterionResult:
 
 
 def check_derivation_dimension() -> CriterionResult:
-    """dim Der = (n-2)^2 + n and the zero pattern holds, both families."""
+    """dim Der = (n-2)^2 + n and the zero pattern holds, both families.
+
+    The SVD basis is the oracle for the closed form ``classify_metric``
+    uses: the closed form must have the SVD's dimension, and
+    ``pattern_check`` compares the two spans.
+    """
     t0 = time.perf_counter()
     failures: list[str] = []
     for family in FAMILIES:
@@ -383,8 +388,11 @@ def check_derivation_dimension() -> CriterionResult:
             alg = build_family(family, n)
             basis = derivation_basis(alg)
             want = (n - 2) ** 2 + n
+            closed_dim = family_derivation_basis(n).dim
             if basis.dim != want:
                 failures.append(f"{family.value} n={n}: dim {basis.dim} != {want}")
+            elif closed_dim != basis.dim:
+                failures.append(f"{family.value} n={n}: closed-form dim {closed_dim} != {basis.dim}")
             elif not pattern_check(alg, basis):
                 failures.append(f"{family.value} n={n}: pattern check failed")
     passed = not failures

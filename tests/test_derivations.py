@@ -13,6 +13,7 @@ from milnor_frames import (
     is_derivation,
     pattern_check,
 )
+from milnor_frames.derivations import family_derivation_basis
 
 
 def E(n, i, j):
@@ -64,6 +65,15 @@ def test_rotation_algebra_has_only_inner_derivations():
 @pytest.mark.parametrize("n", range(3, 9))
 def test_family_dimension(family, n):
     assert derivation_basis(build_family(family, n)).dim == (n - 2) ** 2 + n
+
+
+@pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
+@pytest.mark.parametrize("n", range(3, 11))
+def test_family_closed_form_spans_the_svd_null_space(family, n):
+    closed = family_derivation_basis(n)
+    svd = derivation_basis(build_family(family, n))
+    assert closed.dim == svd.dim
+    assert np.max(np.abs(span_projector(closed.mats) - span_projector(svd.mats))) < 1e-10
 
 
 def test_rh_line_n4_dimension():

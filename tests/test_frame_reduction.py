@@ -180,6 +180,23 @@ class TestReduce:
         with pytest.raises(ShapeError):
             reduce(alg, np.eye(3))
 
+    def test_validates_the_gram_matrix_once(self, monkeypatch):
+        import milnor_frames.frame_reduction as fr_mod
+
+        calls = []
+        real = fr_mod.validate_gram
+
+        def counting(G):
+            calls.append(1)
+            return real(G)
+
+        monkeypatch.setattr(fr_mod, "validate_gram", counting)
+        alg = build_family("rh-line", 5)
+        G = sample_metric(RandomMetricSpec(seed=5), 5)
+        for _ in range(3):
+            reduce(alg, G)
+        assert len(calls) == 3
+
 
 class TestOrbitParameterEqual:
     def test_scaling_is_equal(self):

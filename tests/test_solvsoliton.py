@@ -8,6 +8,7 @@ from milnor_frames import (
     build_family,
     classify_metric,
     closed_form_ricci,
+    conjugated_derivation_basis,
     derivation_basis,
     sample_metric,
     solvsoliton_solve,
@@ -109,3 +110,22 @@ def test_dichotomy_on_random_metrics(family):
             G = sample_metric(RandomMetricSpec(seed=seed * 101 + n), n)
             verdict, lam = classify_metric(alg, G)
             assert verdict.is_solvsoliton == (lam == 0.0)
+
+
+@pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_classify_matches_the_svd_derivation_oracle(family, n):
+    # classify_metric takes the closed-form Der(g); the SVD null space is
+    # the independent reference
+    alg = build_family(family, n)
+    svd_basis = derivation_basis(alg)
+    metrics = [np.eye(n)] + [sample_metric(RandomMetricSpec(seed=seed * 53 + n), n) for seed in range(10)]
+    for G in metrics:
+        verdict, lam = classify_metric(alg, G)
+        ric = closed_form_ricci(family, n, lam).ric
+        want = solvsoliton_solve(ric, conjugated_derivation_basis(svd_basis, lam))
+        assert verdict.is_solvsoliton == want.is_solvsoliton
+        assert verdict.is_einstein == want.is_einstein
+        scale = np.linalg.norm(ric)
+        for name in ("residual", "einstein_residual", "c"):
+            assert abs(getattr(verdict, name) - getattr(want, name)) <= 1e-10 * scale, name
