@@ -75,13 +75,18 @@ def levi_civita(g: LieAlgebra) -> ConnectionTable:
 
 
 def riemann(ct: ConnectionTable, g: LieAlgebra) -> np.ndarray:
-    """Curvature tensor R[i, j, k, l] = <R(x_i, x_j) x_k, x_l>."""
+    """Curvature tensor R[i, j, k, l] = <R(x_i, x_j) x_k, x_l>.
+
+    R[i,j,k,l] = sum_m gamma[j,k,m] gamma[i,m,l] - (i <-> j)
+    - c[i,j,m] gamma[m,k,l]; the two sums over m are matrix products of
+    reshaped (n^2, n) and (n, n^2) tables.
+    """
     gam = ct.gamma
-    return (
-        np.einsum("jkm,iml->ijkl", gam, gam)
-        - np.einsum("ikm,jml->ijkl", gam, gam)
-        - np.einsum("ijm,mkl->ijkl", g.c, gam)
-    )
+    n = gam.shape[0]
+    first = gam.reshape(n * n, n) @ gam.transpose(1, 0, 2).reshape(n, n * n)
+    first = first.reshape(n, n, n, n).transpose(2, 0, 1, 3)
+    bracket = (g.c.reshape(n * n, n) @ gam.reshape(n, n * n)).reshape(n, n, n, n)
+    return first - first.transpose(1, 0, 2, 3) - bracket
 
 
 def _ricci_matrix(g: LieAlgebra) -> np.ndarray:
@@ -118,6 +123,11 @@ def ricci_operator(g: LieAlgebra, G: np.ndarray) -> RicciReport:
 
 def closed_form_ricci(family_tag: Family | str, n: int, lam: float) -> RicciReport:
     """Ricci operator of the family metric with frame parameter λ, n >= 3."""
+    return _report(_closed_form_matrix(family_tag, n, lam))
+
+
+def _closed_form_matrix(family_tag: Family | str, n: int, lam: float) -> np.ndarray:
+    """The matrix of ``closed_form_ricci``, without the eigen step."""
     family = Family(family_tag)
     if n < 3:
         raise DimensionError(f"family algebras need n >= 3, got {n}")
@@ -136,7 +146,7 @@ def closed_form_ricci(family_tag: Family | str, n: int, lam: float) -> RicciRepo
         ric[1, n - 1] = ric[n - 1, 1] = (n - 1) * lam / 2.0
     else:
         raise UnsupportedFamilyError("closed form exists only for the built-in families")
-    return _report(ric)
+    return ric
 
 
 def _count_signature(w: np.ndarray, tol: float) -> tuple[int, int, int]:

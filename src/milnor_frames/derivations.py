@@ -35,7 +35,12 @@ PATTERN_TOL = 1e-8
 
 @dataclass(frozen=True)
 class DerivationBasis:
-    """Frobenius-orthonormal spanning set of Der(g), shape (dim, n, n)."""
+    """Basis of Der(g), a stack of shape (dim, n, n).
+
+    ``derivation_basis`` and ``family_derivation_basis`` return
+    Frobenius-orthonormal stacks; ``conjugated_derivation_basis`` returns
+    the conjugated elements as they are, which are only a basis.
+    """
 
     mats: np.ndarray
 
@@ -161,7 +166,10 @@ def conjugated_derivation_basis(basis: DerivationBasis, lam: float) -> Derivatio
 
     Matrix expressions transform by D -> g_λ^{-1} D g_λ; the conjugated
     family pattern picks up the coupling entry (n, 2) = λ (D_22 - D_nn).
-    The result is re-orthonormalized.
+    Element j of the result is g_λ^{-1} D_j g_λ, exactly.  Conjugation by
+    the invertible g_λ keeps the elements independent, so the result is
+    a basis of the conjugated Der(g), but not an orthonormal one for
+    λ > 0; ``solvsoliton_solve`` does not need one.
     """
     if lam < 0:
         raise ValueError(f"frame parameter must be nonnegative, got {lam}")
@@ -171,9 +179,4 @@ def conjugated_derivation_basis(basis: DerivationBasis, lam: float) -> Derivatio
     # E_{n,2}^2 = 0, so the inverse is I + lam E_{n,2} exactly.
     g_inv = np.eye(n)
     g_inv[n - 1, 1] = lam
-    conj = g_inv @ basis.mats @ g_lam
-    flat = conj.reshape(basis.dim, n * n)
-    _, s, vt = np.linalg.svd(flat, full_matrices=False)
-    smax = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s >= 1e-12 * smax))
-    return DerivationBasis(mats=vt[:rank].reshape(-1, n, n))
+    return DerivationBasis(mats=g_inv @ basis.mats @ g_lam)

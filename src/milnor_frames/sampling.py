@@ -12,7 +12,9 @@ recurrence
 implemented in plain integer arithmetic, so a given seed produces the
 same matrices on every platform.  A sampled Gram matrix is
 G = A^T A + eps I with A uniform in [-1, 1) and eps = 1e-6 times the
-spectral norm of A^T A, which caps the condition number near 1e6.
+spectral norm of A^T A.  The eigenvalues of G then lie in
+[eps, ||A^T A|| + eps], so cond(G) <= 1 + 1e6; the default
+``cond_cap`` of 1e7 is a guard with margin, not a bound that binds.
 """
 
 from __future__ import annotations

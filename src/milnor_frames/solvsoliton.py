@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import closed_form_ricci
+from .curvature import _closed_form_matrix
 from .derivations import (
     DerivationBasis,
     conjugated_derivation_basis,
@@ -104,7 +104,7 @@ def classify_metric(
     is solvsoliton exactly when λ = 0.
     """
     frame = reduce(g_alg, G)
-    ric = closed_form_ricci(g_alg.family_tag, g_alg.dim, frame.lam).ric
+    ric = _closed_form_matrix(g_alg.family_tag, g_alg.dim, frame.lam)
     basis = conjugated_derivation_basis(family_derivation_basis(g_alg.dim), frame.lam)
     verdict = solvsoliton_solve(ric, basis, tol=tol)
     return verdict, frame.lam

@@ -31,7 +31,7 @@ def random_frame_algebra(seed, family="rh2+abelian", n=4):
 
 class TestJacobiEigensolver:
     @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 16, 24])
     def test_against_lapack(self, seed, n):
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(n, n))
@@ -39,6 +39,49 @@ class TestJacobiEigensolver:
         w, v = jacobi_eigh(a)
         np.testing.assert_allclose(w, np.linalg.eigvalsh(a), atol=1e-10)
         np.testing.assert_allclose(a @ v, v @ np.diag(w), atol=1e-10)
+
+    @pytest.mark.parametrize("n", range(2, 26))
+    def test_rounds_are_disjoint_and_cover_each_pair_once(self, n):
+        from milnor_frames.eigensolve import _rounds
+
+        seen = []
+        for p, q in _rounds(n):
+            assert np.all(p < q)
+            touched = np.concatenate([p, q])
+            assert len(set(touched.tolist())) == touched.size  # disjoint within a round
+            seen.extend(zip(p.tolist(), q.tolist()))
+        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+        assert len(_rounds(n)) == n - 1 + n % 2
+
+    @pytest.mark.parametrize(
+        "ric",
+        [
+            closed_form_ricci("rh2+abelian", 6, 1.5).ric,
+            closed_form_ricci("rh2+abelian", 9, 0.0).ric,
+            closed_form_ricci("rh-line", 7, 0.0).ric,
+        ],
+        ids=["rh2+abelian-lam1.5", "rh2+abelian-lam0", "rh-line-lam0"],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_repeated_eigenvalues(self, ric, seed):
+        # a random rotation hides the diagonal; the multiplicities stay
+        n = ric.shape[0]
+        Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+        a = Q @ ric @ Q.T
+        a = 0.5 * (a + a.T)
+        w, v = jacobi_eigh(a)
+        scale = np.max(np.abs(ric))
+        np.testing.assert_allclose(w, np.sort(np.diag(ric)), atol=1e-12 * scale)
+        np.testing.assert_allclose(a @ v, v @ np.diag(w), atol=1e-12 * scale)
+        np.testing.assert_allclose(v.T @ v, np.eye(n), atol=1e-12)
+
+    def test_diagonal_input_needs_no_sweep(self, monkeypatch):
+        from milnor_frames import eigensolve
+
+        monkeypatch.setattr(eigensolve, "MAX_SWEEPS", 0)
+        w, v = jacobi_eigh(np.diag([3.0, -1.0, 2.0, -1.0]))
+        np.testing.assert_array_equal(w, [-1.0, -1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(v, np.eye(4)[:, [1, 3, 2, 0]])
 
     def test_zero_matrix(self):
         w, v = jacobi_eigh(np.zeros((3, 3)))
@@ -102,6 +145,21 @@ class TestRiemann:
     def test_abelian_is_zero(self):
         alg = LieAlgebra(dim=3, c=np.zeros((3, 3, 3)))
         assert np.max(np.abs(riemann(levi_civita(alg), alg))) == 0.0
+
+    @pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
+    @pytest.mark.parametrize("n", [3, 5, 8, 16])
+    def test_matches_reference_einsum(self, family, n):
+        alg = random_frame_algebra(n, family=family, n=n)
+        ct = levi_civita(alg)
+        gam = ct.gamma
+        want = (
+            np.einsum("jkm,iml->ijkl", gam, gam)
+            - np.einsum("ikm,jml->ijkl", gam, gam)
+            - np.einsum("ijm,mkl->ijkl", alg.c, gam)
+        )
+        got = riemann(ct, alg)
+        assert got.shape == (n, n, n, n)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_first_bianchi(self, seed):

@@ -164,6 +164,32 @@ class TestConjugation:
         D = conj.mats[0] / conj.mats[0][1, 1]
         assert abs(D[n - 1, 1] - lam) < 1e-12
 
+    @pytest.mark.parametrize("lam", [0.0, 2.5, 1e3])
+    def test_elements_are_the_conjugates_themselves(self, lam):
+        # 0/1 entries and a representable lam make every product exact
+        n = 6
+        g_lam = np.eye(n)
+        g_lam[n - 1, 1] = -lam
+        g_inv = np.linalg.inv(g_lam)
+        basis = family_derivation_basis(n)
+        conj = conjugated_derivation_basis(basis, lam)
+        assert conj.dim == basis.dim
+        for D, C in zip(basis.mats, conj.mats):
+            np.testing.assert_array_equal(C, g_inv @ D @ g_lam)
+
+    @pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
+    @pytest.mark.parametrize("lam", [0.0, 0.7, 3.0, 40.0])
+    def test_span_equals_the_orthonormalised_span(self, family, lam):
+        # the conjugated closed form against the SVD-orthonormalised
+        # conjugates of the SVD null space
+        n = 5
+        flat = conjugated_derivation_basis(family_derivation_basis(n), lam).mats.reshape(-1, n * n)
+        qt, r = np.linalg.qr(flat.T)
+        assert np.min(np.abs(np.diag(r))) > 1e-12 * np.max(np.abs(r))  # still independent
+        oracle = conjugated_derivation_basis(derivation_basis(build_family(family, n)), lam)
+        _, _, vt = np.linalg.svd(oracle.mats.reshape(oracle.dim, -1), full_matrices=False)
+        assert np.max(np.abs(qt @ qt.T - span_projector(vt))) < 1e-10
+
     @pytest.mark.parametrize("lam", [0.0, 1.0, 3.5])
     def test_coupling_relation_holds_for_every_element(self, lam):
         # in the rotated frame each derivation satisfies

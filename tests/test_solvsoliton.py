@@ -13,6 +13,7 @@ from milnor_frames import (
     sample_metric,
     solvsoliton_solve,
 )
+from milnor_frames.derivations import family_derivation_basis
 
 
 def test_family1_flat_metric_is_soliton():
@@ -129,3 +130,43 @@ def test_classify_matches_the_svd_derivation_oracle(family, n):
         scale = np.linalg.norm(ric)
         for name in ("residual", "einstein_residual", "c"):
             assert abs(getattr(verdict, name) - getattr(want, name)) <= 1e-10 * scale, name
+
+
+def _orthonormalised(basis):
+    flat = basis.mats.reshape(basis.dim, -1)
+    _, _, vt = np.linalg.svd(flat, full_matrices=False)
+    return DerivationBasis(mats=vt.reshape(-1, basis.n, basis.n))
+
+
+@pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
+@pytest.mark.parametrize("n", [3, 5, 8])
+@pytest.mark.parametrize("lam", [0.0, 3.0, 1e3, 1e5])
+def test_conjugated_closed_form_needs_no_orthonormalisation(family, n, lam):
+    # lstsq on the conjugates as they are, against an orthonormal basis
+    # of the same span built from the SVD null space
+    ric = closed_form_ricci(family, n, lam).ric
+    got = solvsoliton_solve(ric, conjugated_derivation_basis(family_derivation_basis(n), lam))
+    svd_basis = derivation_basis(build_family(family, n))
+    want = solvsoliton_solve(ric, _orthonormalised(conjugated_derivation_basis(svd_basis, lam)))
+    assert got.is_solvsoliton == want.is_solvsoliton == (lam == 0.0)
+    assert got.is_einstein == want.is_einstein
+    scale = np.linalg.norm(ric)
+    for name in ("residual", "einstein_residual", "c"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-10 * scale, name
+
+
+def test_classify_runs_no_eigensolve(monkeypatch):
+    from milnor_frames import curvature
+
+    calls = []
+    jacobi = curvature.jacobi_eigh
+
+    def counting(a):
+        calls.append(a)
+        return jacobi(a)
+
+    monkeypatch.setattr(curvature, "jacobi_eigh", counting)
+    alg = build_family("rh-line", 6)
+    verdict, lam = classify_metric(alg, sample_metric(RandomMetricSpec(seed=3), 6))
+    assert lam > 0 and not verdict.is_solvsoliton
+    assert calls == []
