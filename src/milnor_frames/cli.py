@@ -7,10 +7,11 @@ signature-sweep, verify-paper.  Families are selected with
 (``--random SEED``), or a frame parameter (``--lambda``).
 
 Exit codes: 0 success, 1 validation error (bad flags, unreadable or
-malformed input, dimension mismatch, failed verification), 2 numerical
-failure.  ``--tol`` falls back to the MILNOR_TOL environment variable,
-then to 1e-8.  JSON output is schema stable: keys are sorted and
-re-emitting a parsed report reproduces it byte for byte.
+malformed input, dimension mismatch or out of range, failed
+verification), 2 numerical failure.  ``--tol`` falls back to the
+MILNOR_TOL environment variable, then to 1e-8.  JSON output is schema
+stable: keys are sorted and re-emitting a parsed report reproduces it
+byte for byte.
 """
 
 from __future__ import annotations

@@ -14,10 +14,15 @@ dimension (n-2)^2 + n.  ``family_derivation_basis`` builds that space
 directly as elementary matrices, with no SVD, and ``pattern_check``
 compares a computed basis against it.
 
-Which path serves whom: ``classify_metric`` works only on the built-in
-families and takes the closed form; the SVD of ``derivation_basis``
-serves CUSTOM algebras and the CLI ``derivations`` subcommand, and in
-``verify`` it is the independent oracle that certifies the closed form.
+Which path serves whom: ``classify_metric`` needs no basis at all, since
+its closed-form fit reads the same free pattern (``_forbidden_mask``);
+``family_derivation_basis`` and ``conjugated_derivation_basis`` serve
+``pattern_check`` and the dense ``solvsoliton_solve`` that is the fit's
+oracle.  The SVD of ``derivation_basis`` serves CUSTOM algebras and the
+CLI ``derivations`` subcommand, and in ``verify`` it is the independent
+oracle that certifies the closed form.
+The Leibniz tensor behind the SVD has n^5 entries, so ``derivation_basis``
+refuses dimensions whose tensor would exceed ``LEIBNIZ_MAX_BYTES``.
 """
 
 from __future__ import annotations
@@ -26,11 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, UnsupportedFamilyError
+from .errors import DimensionError, ShapeError, UnsupportedFamilyError
 from .lie_core import Family, LieAlgebra, jacobi_defect
 
 NULLSPACE_RTOL = 1e-9
 PATTERN_TOL = 1e-8
+LEIBNIZ_MAX_BYTES = 1 << 26
+"""Largest Leibniz tensor ``derivation_basis`` builds: 64 MiB of float64,
+which admits n <= 24 (24^5 entries take 61 MiB).  The working set peaks at
+about twice the tensor: 130 MB above the bare interpreter at n = 24."""
 
 
 @dataclass(frozen=True)
@@ -80,12 +89,19 @@ def derivation_basis(g: LieAlgebra) -> DerivationBasis:
     """Compute an orthonormal basis of Der(g).
 
     Requires jacobi_defect(g) < 1e-9.  The abelian algebra returns the
-    full n^2-dimensional matrix space.
+    full n^2-dimensional matrix space.  Raises ``DimensionError`` before
+    allocating anything of size n^4 or more when the n^5-entry Leibniz
+    tensor would exceed ``LEIBNIZ_MAX_BYTES``.
     """
+    n = g.dim
+    if 8 * n**5 > LEIBNIZ_MAX_BYTES:
+        raise DimensionError(
+            f"Der(g) by SVD needs an n^5-entry Leibniz tensor, {8 * n**5 / 2**20:.0f} MiB "
+            f"at n = {n}, over the {LEIBNIZ_MAX_BYTES >> 20} MiB cap"
+        )
     defect = jacobi_defect(g)
     if defect >= 1e-9:
         raise ValueError(f"not a Lie algebra (Jacobi defect {defect:g})")
-    n = g.dim
     L = _leibniz_operator(g)
     # For n >= 3, L has more rows than columns and the thin V^T already
     # spans the null space; only n = 2 needs the full square V^T.

@@ -16,13 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import closed_form_ricci, levi_civita, ricci_operator, riemann
-from .derivations import derivation_basis, family_derivation_basis, pattern_check
+from .curvature import _closed_form_matrix, closed_form_ricci, levi_civita, ricci_operator, riemann
+from .derivations import (
+    conjugated_derivation_basis,
+    derivation_basis,
+    family_derivation_basis,
+    pattern_check,
+)
 from .eigensolve import jacobi_eigh
-from .frame_reduction import reduce
+from .frame_reduction import DEFAULT_TOL, reduce
 from .lie_core import FAMILIES, Family, build_family, change_basis, milnor_pattern
 from .sampling import RandomMetricSpec, SplitMix64, sample_metric
-from .solvsoliton import classify_metric
+from .solvsoliton import SolitonVerdict, classify_metric, solvsoliton_solve
 
 LAMBDA_GRID = (0.0, 0.5, 1.0, 2.0, 7.3)
 
@@ -316,11 +321,52 @@ def check_block_characteristic_polynomial() -> CriterionResult:
     )
 
 
+def _soliton_residual_formula(family: Family, n: int, lam: float) -> float:
+    """The optimal solvsoliton residual of the closed-form Ricci operator.
+
+    ``rh2+abelian``: λ (1 + λ²) / √(1 + 2λ²);
+    ``rh-line``: λ √((n-1)²/4 + (λ² - (n-3)/2)² / (1 + 2λ²)).
+    Both vanish exactly at λ = 0.
+    """
+    lam2 = lam * lam
+    if family is Family.RH2_SUM_ABELIAN:
+        return lam * (1.0 + lam2) / np.sqrt(1.0 + 2.0 * lam2)
+    return lam * np.sqrt((n - 1) ** 2 / 4.0 + (lam2 - (n - 3) / 2.0) ** 2 / (1.0 + 2.0 * lam2))
+
+
 def check_solvsoliton_classification(samples_per_dim: int = 100) -> CriterionResult:
-    """Solvsoliton verdict iff λ = 0, and the canonical soliton constants."""
+    """Solvsoliton verdict iff λ = 0, and the canonical soliton constants.
+
+    Every verdict of ``classify_metric``'s closed-form fit is also checked
+    against the dense ``solvsoliton_solve`` on the conjugated closed-form
+    Der(g), and its residual against ``_soliton_residual_formula``: the
+    verdicts must agree, c and the residuals within 1e-10 ||Ric||, and the
+    derivation coefficients within 1e-9 ||Ric||.
+    """
     t0 = time.perf_counter()
     failures: list[str] = []
+    deviations: list[tuple[float, float, float, float]] = []
+    margins: list[float] = []
     seed_stream = SplitMix64(0x5EED0003)
+
+    def against_oracles(family: Family, n: int, verdict: SolitonVerdict, lam: float) -> None:
+        ric = _closed_form_matrix(family, n, lam)
+        dense = solvsoliton_solve(ric, conjugated_derivation_basis(family_derivation_basis(n), lam))
+        scale = float(np.linalg.norm(ric))
+        dev = (
+            abs(verdict.c - dense.c) / scale,
+            abs(verdict.residual - dense.residual) / scale,
+            abs(verdict.residual - _soliton_residual_formula(family, n, lam)) / scale,
+            float(np.max(np.abs(verdict.derivation_coeffs - dense.derivation_coeffs))) / scale,
+        )
+        deviations.append(dev)
+        if lam > 0:
+            margins.append(verdict.residual / (DEFAULT_TOL * scale))
+        if verdict.is_solvsoliton != dense.is_solvsoliton:
+            failures.append(f"{family.value} n={n}: closed-form and dense verdicts differ (λ={lam})")
+        if max(dev[:3]) > 1e-10 or dev[3] > 1e-9:
+            failures.append(f"{family.value} n={n}: closed-form fit off the oracles (λ={lam})")
+
     for family in FAMILIES:
         for n in range(3, 7):
             alg = build_family(family, n)
@@ -329,6 +375,7 @@ def check_solvsoliton_classification(samples_per_dim: int = 100) -> CriterionRes
                 verdict, lam = classify_metric(alg, G)
                 if verdict.is_solvsoliton != (lam == 0.0):
                     failures.append(f"{family.value} n={n}: verdict/λ mismatch (λ={lam})")
+                against_oracles(family, n, verdict, lam)
             for _ in range(5):
                 phi = _pattern_automorphism(seed_stream, n)
                 scale = 0.2 + 5.0 * abs(seed_stream.uniform())
@@ -336,6 +383,7 @@ def check_solvsoliton_classification(samples_per_dim: int = 100) -> CriterionRes
                 verdict, lam = classify_metric(alg, flat)
                 if not verdict.is_solvsoliton or lam != 0.0:
                     failures.append(f"{family.value} n={n}: canonical-orbit metric judged non-soliton")
+                against_oracles(family, n, verdict, lam)
     for n in range(3, 9):
         v1, _ = classify_metric(build_family(Family.RH2_SUM_ABELIAN, n), np.eye(n))
         if abs(v1.c - (-1.0)) > 1e-10:
@@ -344,10 +392,17 @@ def check_solvsoliton_classification(samples_per_dim: int = 100) -> CriterionRes
         if abs(v2.c - (-(n - 2.0))) > 1e-10:
             failures.append(f"rh-line n={n}: soliton constant {v2.c} != {-(n - 2)}")
     passed = not failures
+    worst_c, worst_resid, worst_formula, worst_coeffs = np.max(deviations, axis=0)
+    oracles = (
+        f"closed-form fit vs dense solve: c {worst_c:.2e}, residual {worst_resid:.2e} "
+        f"(tol 1e-10), coefficients {worst_coeffs:.2e} (tol 1e-09); vs residual formula "
+        f"{worst_formula:.2e} (tol 1e-10), all relative to ||Ric||; "
+        f"min residual/threshold at λ > 0 {min(margins, default=np.inf):.3e}"
+    )
     detail = (
-        "solvsoliton iff λ = 0; canonical constants -1 and -(n-2) recovered"
+        f"solvsoliton iff λ = 0; canonical constants -1 and -(n-2) recovered; {oracles}"
         if passed
-        else "; ".join(failures[:4])
+        else "; ".join(failures[:4] + [oracles])
     )
     return _result("solvsoliton-classification", passed, detail, t0)
 

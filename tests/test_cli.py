@@ -210,3 +210,17 @@ def test_verify_paper_reporting(monkeypatch, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload[0]["name"] == "alpha" and payload[0]["passed"] is True
+
+
+def test_derivations_over_the_leibniz_cap_exits_1(monkeypatch, capsys):
+    from milnor_frames import derivations
+
+    def refuse(*_):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(derivations, "_leibniz_operator", refuse)
+    monkeypatch.setattr(derivations, "jacobi_defect", refuse)
+    code, out, err = run_cli(["derivations", "--family", "rh-line", "--dim", "100"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "cap" in err

@@ -105,6 +105,20 @@ def test_non_lie_input_rejected():
         derivation_basis(LieAlgebra(dim=4, c=c))
 
 
+def test_leibniz_cap_refuses_before_allocating(monkeypatch):
+    from milnor_frames import DimensionError, derivations
+
+    def refuse(*_):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(derivations, "_leibniz_operator", refuse)
+    monkeypatch.setattr(derivations, "jacobi_defect", refuse)
+    with pytest.raises(DimensionError, match="cap"):
+        derivation_basis(build_family("rh-line", 25))
+    # the largest CUSTOM and verify inputs stay far below it
+    assert 8 * 12**5 * 20 < derivations.LEIBNIZ_MAX_BYTES < 8 * 25**5
+
+
 class TestIsDerivation:
     def test_diagonal_e22_is_derivation(self):
         alg = build_family("rh2+abelian", 4)

@@ -170,3 +170,62 @@ def test_classify_runs_no_eigensolve(monkeypatch):
     verdict, lam = classify_metric(alg, sample_metric(RandomMetricSpec(seed=3), 6))
     assert lam > 0 and not verdict.is_solvsoliton
     assert calls == []
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+@pytest.mark.parametrize("lam", [0.0, 1e-3, 1.0, 30.0, 1e3])
+def test_family_fit_matches_the_dense_solve(n, lam):
+    from milnor_frames.solvsoliton import _family_fit
+
+    rng = np.random.default_rng(n * 1009 + int(lam * 1000))
+    basis = conjugated_derivation_basis(family_derivation_basis(n), lam)
+    for _ in range(3):
+        A = rng.standard_normal((n, n))
+        ric = A + A.T
+        got = _family_fit(ric, lam)
+        want = solvsoliton_solve(ric, basis)
+        scale = np.linalg.norm(ric)
+        assert got.is_solvsoliton == want.is_solvsoliton
+        assert got.is_einstein == want.is_einstein
+        assert abs(got.c - want.c) <= 1e-12 * scale
+        assert abs(got.residual - want.residual) <= 1e-12 * scale
+        assert got.einstein_residual == want.einstein_residual
+        assert got.derivation_coeffs.shape == want.derivation_coeffs.shape
+        assert np.max(np.abs(got.derivation_coeffs - want.derivation_coeffs)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
+@pytest.mark.parametrize("n", [3, 4, 7, 12])
+@pytest.mark.parametrize("lam", [0.0, 1e-3, 0.5, 2.0, 30.0, 1e3])
+def test_family_fit_residual_formulas(family, n, lam):
+    from milnor_frames.lie_core import Family
+    from milnor_frames.solvsoliton import _family_fit
+    from milnor_frames.verify import _soliton_residual_formula
+
+    ric = closed_form_ricci(family, n, lam).ric
+    want = _soliton_residual_formula(Family(family), n, lam)
+    got = _family_fit(ric, lam)
+    assert abs(got.residual - want) <= 1e-14 * np.linalg.norm(ric)
+    assert got.is_solvsoliton == (lam == 0.0)
+
+
+def test_classify_runs_no_dense_solve(monkeypatch):
+    from milnor_frames import derivations, solvsoliton
+
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(solvsoliton, "solvsoliton_solve", counting("solve", solvsoliton_solve))
+    conjugate = counting("conjugate", conjugated_derivation_basis)
+    for module in (derivations, solvsoliton):
+        monkeypatch.setattr(module, "conjugated_derivation_basis", conjugate, raising=False)
+    alg = build_family("rh-line", 6)
+    verdict, lam = classify_metric(alg, sample_metric(RandomMetricSpec(seed=3), 6))
+    assert lam > 0 and not verdict.is_solvsoliton
+    assert calls == []
