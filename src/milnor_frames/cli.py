@@ -7,11 +7,11 @@ signature-sweep, verify-paper.  Families are selected with
 (``--random SEED``), or a frame parameter (``--lambda``).
 
 Exit codes: 0 success, 1 validation error (bad flags, unreadable or
-malformed input, dimension mismatch or out of range, failed
-verification), 2 numerical failure.  ``--tol`` falls back to the
-MILNOR_TOL environment variable, then to 1e-8.  JSON output is schema
-stable: keys are sorted and re-emitting a parsed report reproduces it
-byte for byte.
+malformed input, a non-finite --lambda or --tol, a negative --samples,
+dimension mismatch or out of range, failed verification), 2 numerical
+failure.  ``--tol`` falls back to the MILNOR_TOL environment variable,
+then to 1e-8.  JSON output is schema stable: keys are sorted and
+re-emitting a parsed report reproduces it byte for byte.
 """
 
 from __future__ import annotations
@@ -235,6 +235,8 @@ def _run_solvsoliton(config: RunConfig) -> tuple[int, str]:
 
 
 def _run_signature_sweep(config: RunConfig) -> tuple[int, str]:
+    if config.samples < 0:
+        raise ValueError(f"--samples must be nonnegative, got {config.samples}")
     alg = build_family(config.family, config.dim)
     stream = SplitMix64(config.seed or 0)
     counts: dict[tuple[int, int, int], int] = {}
@@ -281,8 +283,8 @@ _DISPATCH = {
 
 def run(config: RunConfig) -> tuple[int, str]:
     """Dispatch a parsed configuration; returns (exit code, report text)."""
-    if config.tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {config.tol}")
+    if not 0.0 < config.tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {config.tol}")
     return _DISPATCH[config.subcommand](config)
 
 

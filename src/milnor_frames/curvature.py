@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolve import jacobi_eigh
-from .errors import DimensionError, ShapeError, UnsupportedFamilyError
+from .errors import ShapeError
 from .frame_reduction import validate_gram
-from .lie_core import Family, LieAlgebra, change_basis
+from .lie_core import Family, LieAlgebra, _checked_family, change_basis
 
 SIGNATURE_TOL = 1e-8
 
@@ -95,12 +95,12 @@ def _ricci_matrix(g: LieAlgebra) -> np.ndarray:
     return np.einsum("aiil->la", R)
 
 
-def _report(ric: np.ndarray, tol: float = SIGNATURE_TOL) -> RicciReport:
+def _report(ric: np.ndarray) -> RicciReport:
     w, _ = jacobi_eigh(ric)
     return RicciReport(
         ric=ric,
         eigenvalues=w,
-        signature=_count_signature(w, tol),
+        signature=_count_signature(w, SIGNATURE_TOL),
         scalar_curvature=float(np.trace(ric)),
     )
 
@@ -128,24 +128,18 @@ def closed_form_ricci(family_tag: Family | str, n: int, lam: float) -> RicciRepo
 
 def _closed_form_matrix(family_tag: Family | str, n: int, lam: float) -> np.ndarray:
     """The matrix of ``closed_form_ricci``, without the eigen step."""
-    family = Family(family_tag)
-    if n < 3:
-        raise DimensionError(f"family algebras need n >= 3, got {n}")
-    if lam < 0:
-        raise ValueError(f"frame parameter must be nonnegative, got {lam}")
+    family = _checked_family(family_tag, n, lam)
     ric = np.zeros((n, n))
     if family is Family.RH2_SUM_ABELIAN:
         ric[0, 0] = ric[1, 1] = -1.0 - lam * lam / 2.0
         ric[n - 1, n - 1] = lam * lam / 2.0
-    elif family is Family.RH_LINE_SUM:
+    else:
         ric[0, 0] = -(n - 2) - lam * lam / 2.0
         ric[1, 1] = -lam * lam / 2.0
         for i in range(2, n - 1):
             ric[i, i] = -(n - 2)
         ric[n - 1, n - 1] = lam * lam / 2.0 - (n - 2)
         ric[1, n - 1] = ric[n - 1, 1] = (n - 1) * lam / 2.0
-    else:
-        raise UnsupportedFamilyError("closed form exists only for the built-in families")
     return ric
 
 

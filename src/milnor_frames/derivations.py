@@ -187,8 +187,8 @@ def conjugated_derivation_basis(basis: DerivationBasis, lam: float) -> Derivatio
     a basis of the conjugated Der(g), but not an orthonormal one for
     λ > 0; ``solvsoliton_solve`` does not need one.
     """
-    if lam < 0:
-        raise ValueError(f"frame parameter must be nonnegative, got {lam}")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"frame parameter must be finite and nonnegative, got {lam}")
     n = basis.n
     g_lam = np.eye(n)
     g_lam[n - 1, 1] = -lam

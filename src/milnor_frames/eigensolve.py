@@ -60,8 +60,9 @@ def jacobi_eigh(a: np.ndarray, tol: float = CONVERGENCE_RTOL) -> tuple[np.ndarra
     """Eigendecomposition of a symmetric matrix.
 
     Returns (eigenvalues ascending, eigenvectors as columns) with
-    A @ V = V @ diag(w).  Raises ``numpy.linalg.LinAlgError`` when the
-    iteration has not converged after ``MAX_SWEEPS`` sweeps.
+    A @ V = V @ diag(w).  Raises ``numpy.linalg.LinAlgError`` on a
+    non-finite entry or Frobenius norm, and when the iteration has not
+    converged after ``MAX_SWEEPS`` sweeps.
     """
     A = np.array(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -69,6 +70,9 @@ def jacobi_eigh(a: np.ndarray, tol: float = CONVERGENCE_RTOL) -> tuple[np.ndarra
     n = A.shape[0]
     V = np.eye(n)
     norm = np.linalg.norm(A, "fro")
+    # NaN passes no convergence test, and an infinite norm passes every one.
+    if not np.isfinite(norm):
+        raise np.linalg.LinAlgError(f"matrix has a non-finite entry or norm ({norm})")
     if norm == 0.0:
         return np.zeros(n), V
 
@@ -95,7 +99,7 @@ def jacobi_eigh(a: np.ndarray, tol: float = CONVERGENCE_RTOL) -> tuple[np.ndarra
     else:
         # the last sweep may have converged; only its check is missing
         off = np.linalg.norm(A - np.diag(np.diag(A)), "fro")
-        if off > tol * norm:
+        if not off <= tol * norm:
             raise np.linalg.LinAlgError(
                 f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps "
                 f"(off-diagonal norm {off:.3e}, target {tol * norm:.3e})"

@@ -16,11 +16,17 @@ constructively yields, for any G:
   ([x_1, x_2] = x_2 + λ x_n, resp. [x_1, x_2] = -λ x_n with
   [x_1, x_i] = x_i).
 
-The steps: make the group element lower triangular with an orthogonal
-factor, strip its diagonal blocks with a block automorphism, eliminate
-the first column of the residual coupling, and rotate the remaining
-coupling vector onto the last axis.  The scale is the square of the
-(1,1) entry of the accumulated scaled automorphism.
+The group element g of G is lower triangular with positive diagonal,
+g = [[A_1, 0], [A_3, A_4]] in blocks of sizes 2 and n - 2.  With
+V = A_4^{-1} A_3 and the rotation B with B v_2 = (0, ..., 0, -λ),
+
+    g = blockdiag(A_1, A_4) [[I, 0], [V, I]] = A g_λ blockdiag(I_2, B)
+
+for a scaled automorphism A with A_11 = g_11.  So the frame is
+X = g blockdiag(I_2, B^T) / g_11, the scale is k = g_11^2, and the unit
+automorphism ψ = A / g_11 = X (I + λ E_{n,2}) is X with its entries
+(i, 2), i >= 3, set to zero: one Cholesky factorisation and one
+(n-2)-dimensional solve, no QR.
 
 Parameters λ below 1e-9 are snapped to exactly 0 so downstream
 classifiers see the boundary case sharply.
@@ -32,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .derivations import _forbidden_mask
 from .errors import NotPositiveDefiniteError, ShapeError, UnsupportedFamilyError
 from .lie_core import FAMILIES, LieAlgebra, change_basis, milnor_pattern
 
@@ -83,15 +90,6 @@ def _group_element(G: np.ndarray) -> np.ndarray:
     M = np.linalg.cholesky(flip @ G @ flip)
     U = flip @ M @ flip
     return np.linalg.inv(U).T
-
-
-def _lq_positive(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal q and lower-triangular T with positive diagonal, g q = T."""
-    Q, R = np.linalg.qr(g.T)
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
-    # g = R^T Q^T, so g (Q D) = R^T D for the diagonal sign matrix D.
-    return Q * signs, R.T * signs
 
 
 @dataclass(frozen=True)
@@ -164,7 +162,9 @@ def reduce(g_alg: LieAlgebra, G: np.ndarray) -> MilnorFrame:
     Returns the parameter λ, the scale k, the frame matrix, the
     automorphism factor, and residual certificates.  λ is deterministic
     for a fixed input.  A condition number above 1e12 only sets the
-    ``conditioning_warning`` flag; the reduction still runs.
+    ``conditioning_warning`` flag; the reduction still runs.  λ, k, the
+    frame and the automorphism are read off the factorisation
+    g = A g_λ blockdiag(I_2, B) of the module docstring.
     """
     if g_alg.family_tag not in FAMILIES:
         raise UnsupportedFamilyError("reduce needs a built-in family metric")
@@ -176,33 +176,19 @@ def reduce(g_alg: LieAlgebra, G: np.ndarray) -> MilnorFrame:
     cond = float(np.linalg.cond(G))
     g = _group_element(G)
 
-    _, T = _lq_positive(g)
-    A1 = T[:2, :2]
-    A3 = T[2:, :2]
-    A4 = T[2:, 2:]
-    V = np.linalg.solve(A4, A3)
-    v1, v2 = V[:, 0], V[:, 1]
+    # Both columns: a one-column solve rounds v_2, and so λ, differently.
+    V = np.linalg.solve(g[2:, 2:], g[2:, :2])
+    lam, B = _rotation_onto_last_axis(V[:, 1])
 
-    lam, B = _rotation_onto_last_axis(v2)
-
-    # Accumulated scaled automorphism: the element A with g = A g_λ q for
-    # orthogonal q, built from the inverses of the elimination steps.
-    step_blocks = np.zeros((n, n))
-    step_blocks[:2, :2] = A1
-    step_blocks[2:, 2:] = A4
-    step_col = np.eye(n)
-    step_col[2:, 0] = v1
-    step_rot = np.eye(n)
-    step_rot[2:, 2:] = B.T
-    A = step_blocks @ step_col @ step_rot
-
-    c_scalar = float(A[0, 0])
-    psi = A / c_scalar
-    k = c_scalar * c_scalar
-
-    g_lam = np.eye(n)
-    g_lam[n - 1, 1] = -lam
-    X = psi @ g_lam
+    # X = g blockdiag(I_2, B^T) / g_11; g[:2, 2:] is zero.
+    g11 = float(g[0, 0])
+    X = g / g11
+    X[2:, 2:] = g[2:, 2:] @ B.T / g11
+    k = g11 * g11
+    # ψ = A / g_11, which is X (I + λ E_{n,2}) unless λ was snapped to 0.
+    # Column 2 of A is zero below row 2: set it, not cancel it.
+    psi = X.copy()
+    psi[2:, 1] = 0.0
 
     ortho = float(np.max(np.abs(k * (X.T @ G @ X) - np.eye(n))))
     pattern = milnor_pattern(g_alg.family_tag, n, lam)
@@ -235,20 +221,18 @@ def validate_aut_element(
 ) -> bool:
     """Check membership of M in the scaled automorphism pattern group.
 
-    True iff M has zeros where the family pattern demands them (first
-    row past column 1, row 2 past column 2, column 2 below row 2) and,
-    after dividing out the scalar c = M[1][1], satisfies the
-    automorphism equation phi[x, y] = [phi x, phi y] within tol.
+    True iff M vanishes where Der(g) does except at (1,1), since the
+    scaled automorphisms have Lie algebra R I + Der(g), and, after
+    dividing out the scalar c = M[1][1], satisfies the automorphism
+    equation phi[x, y] = [phi x, phi y] within tol.
     """
     M = np.asarray(M, dtype=float)
     n = g_alg.dim
     if M.shape != (n, n):
         raise ShapeError(f"expected a {n}x{n} matrix, got {M.shape}")
     scale = float(np.max(np.abs(M))) or 1.0
-    zero_positions = np.zeros((n, n), dtype=bool)
-    zero_positions[0, 1:] = True
-    zero_positions[1, 2:] = True
-    zero_positions[2:, 1] = True
+    zero_positions = _forbidden_mask(n)
+    zero_positions[0, 0] = False
     if np.max(np.abs(M[zero_positions])) > tol * scale:
         return False
     c_scalar = M[0, 0]

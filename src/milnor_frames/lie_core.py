@@ -79,17 +79,20 @@ class LieAlgebra:
         object.__setattr__(self, "c", _freeze(c))
 
 
-def build_family(family_tag: Family | str, n: int) -> LieAlgebra:
-    """Construct one of the two built-in families in its canonical basis.
-
-    ``rh2+abelian`` has the single relation [e_1, e_2] = e_2;
-    ``rh-line`` has [e_1, e_i] = e_i for i = 3..n.  Requires n >= 3.
-    """
+def _checked_family(family_tag: Family | str, n: int, lam: float = 0.0) -> Family:
+    """The built-in family named by ``family_tag``; needs n >= 3 and 0 <= λ < inf."""
     family = Family(family_tag)
     if family is Family.CUSTOM:
         raise UnsupportedFamilyError("operation needs a built-in family, got 'custom'")
     if n < 3:
         raise DimensionError(f"family algebras need n >= 3, got {n}")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"frame parameter must be finite and nonnegative, got {lam}")
+    return family
+
+
+def _canonical_constants(family: Family, n: int) -> np.ndarray:
+    """Structure tensor of a built-in family in its canonical basis."""
     c = np.zeros((n, n, n))
     if family is Family.RH2_SUM_ABELIAN:
         c[0, 1, 1] = 1.0
@@ -98,7 +101,17 @@ def build_family(family_tag: Family | str, n: int) -> LieAlgebra:
         for i in range(2, n):
             c[0, i, i] = 1.0
             c[i, 0, i] = -1.0
-    return LieAlgebra(dim=n, c=c, family_tag=family)
+    return c
+
+
+def build_family(family_tag: Family | str, n: int) -> LieAlgebra:
+    """Construct one of the two built-in families in its canonical basis.
+
+    ``rh2+abelian`` has the single relation [e_1, e_2] = e_2;
+    ``rh-line`` has [e_1, e_i] = e_i for i = 3..n.  Requires n >= 3.
+    """
+    family = _checked_family(family_tag, n)
+    return LieAlgebra(dim=n, c=_canonical_constants(family, n), family_tag=family)
 
 
 def milnor_pattern(family_tag: Family | str, n: int, lam: float) -> LieAlgebra:
@@ -107,24 +120,14 @@ def milnor_pattern(family_tag: Family | str, n: int, lam: float) -> LieAlgebra:
     For ``rh2+abelian``: [x_1, x_2] = x_2 + λ x_n.
     For ``rh-line``:     [x_1, x_2] = -λ x_n and [x_1, x_i] = x_i, i >= 3.
 
-    λ = 0 reproduces the canonical constants of :func:`build_family`.
+    These are the canonical constants of :func:`build_family` plus the
+    coupling ±λ at (1, 2, n).
     """
-    family = Family(family_tag)
-    if family is Family.CUSTOM:
-        raise UnsupportedFamilyError("operation needs a built-in family, got 'custom'")
-    if n < 3:
-        raise DimensionError(f"family algebras need n >= 3, got {n}")
-    if lam < 0:
-        raise ValueError(f"frame parameter must be nonnegative, got {lam}")
-    c = np.zeros((n, n, n))
-    if family is Family.RH2_SUM_ABELIAN:
-        c[0, 1, 1] = 1.0
-        c[0, 1, n - 1] += lam
-    else:
-        c[0, 1, n - 1] = -lam
-        for i in range(2, n):
-            c[0, i, i] += 1.0
-    c = c - c.transpose(1, 0, 2)
+    family = _checked_family(family_tag, n, lam)
+    c = _canonical_constants(family, n)
+    coupling = lam if family is Family.RH2_SUM_ABELIAN else -lam
+    c[0, 1, n - 1] += coupling
+    c[1, 0, n - 1] -= coupling
     return LieAlgebra(dim=n, c=c, family_tag=Family.CUSTOM)
 
 

@@ -203,7 +203,7 @@ def check_connection_curvature_tables() -> CriterionResult:
     )
 
 
-def check_reduction_soundness(samples_per_dim: int = 250) -> CriterionResult:
+def check_reduction_soundness() -> CriterionResult:
     """Random-metric reduction postconditions and λ invariances."""
     t0 = time.perf_counter()
     worst_ortho = 0.0
@@ -214,7 +214,7 @@ def check_reduction_soundness(samples_per_dim: int = 250) -> CriterionResult:
     for family in FAMILIES:
         for n in range(3, 7):
             alg = build_family(family, n)
-            for _ in range(samples_per_dim):
+            for _ in range(250):
                 seed = seed_stream.next_uint64()
                 G = sample_metric(RandomMetricSpec(seed=seed), n)
                 fr = reduce(alg, G)
@@ -261,7 +261,7 @@ def _signature_pair(family: Family, n: int) -> tuple[tuple[int, int, int], tuple
     return (n - 1, 1, 0), (n - 1, 0, 1)
 
 
-def check_signature_dichotomy(samples_per_dim: int = 150) -> CriterionResult:
+def check_signature_dichotomy() -> CriterionResult:
     """Sampled signatures stay inside the declared pair; constructed
     metrics land on the predicted member."""
     t0 = time.perf_counter()
@@ -271,7 +271,7 @@ def check_signature_dichotomy(samples_per_dim: int = 150) -> CriterionResult:
         for n in range(3, 7):
             alg = build_family(family, n)
             degenerate, generic = _signature_pair(family, n)
-            for _ in range(samples_per_dim):
+            for _ in range(150):
                 G = sample_metric(RandomMetricSpec(seed=seed_stream.next_uint64()), n)
                 sig = ricci_operator(alg, G).signature
                 if sig not in (degenerate, generic):
@@ -334,7 +334,7 @@ def _soliton_residual_formula(family: Family, n: int, lam: float) -> float:
     return lam * np.sqrt((n - 1) ** 2 / 4.0 + (lam2 - (n - 3) / 2.0) ** 2 / (1.0 + 2.0 * lam2))
 
 
-def check_solvsoliton_classification(samples_per_dim: int = 100) -> CriterionResult:
+def check_solvsoliton_classification() -> CriterionResult:
     """Solvsoliton verdict iff λ = 0, and the canonical soliton constants.
 
     Every verdict of ``classify_metric``'s closed-form fit is also checked
@@ -370,7 +370,7 @@ def check_solvsoliton_classification(samples_per_dim: int = 100) -> CriterionRes
     for family in FAMILIES:
         for n in range(3, 7):
             alg = build_family(family, n)
-            for _ in range(samples_per_dim):
+            for _ in range(100):
                 G = sample_metric(RandomMetricSpec(seed=seed_stream.next_uint64()), n)
                 verdict, lam = classify_metric(alg, G)
                 if verdict.is_solvsoliton != (lam == 0.0):
@@ -407,7 +407,7 @@ def check_solvsoliton_classification(samples_per_dim: int = 100) -> CriterionRes
     return _result("solvsoliton-classification", passed, detail, t0)
 
 
-def check_einstein_nonexistence(samples_per_dim: int = 50) -> CriterionResult:
+def check_einstein_nonexistence() -> CriterionResult:
     """Einstein residual bounded away from zero for every sampled metric."""
     t0 = time.perf_counter()
     worst_ratio = np.inf
@@ -415,7 +415,7 @@ def check_einstein_nonexistence(samples_per_dim: int = 50) -> CriterionResult:
     for family in FAMILIES:
         for n in range(3, 9):
             alg = build_family(family, n)
-            for _ in range(samples_per_dim):
+            for _ in range(50):
                 G = sample_metric(RandomMetricSpec(seed=seed_stream.next_uint64()), n)
                 verdict, lam = classify_metric(alg, G)
                 ric_norm = float(np.linalg.norm(closed_form_ricci(family, n, lam).ric))

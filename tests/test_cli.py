@@ -138,12 +138,13 @@ def test_env_var_tolerance(monkeypatch, capsys):
     )
     assert code == 0
 
-    monkeypatch.setenv("MILNOR_TOL", "-1")
-    code, _, err = run_cli(
-        ["reduce", "--family", "rh-line", "--dim", "3", "--random", "2"], capsys
-    )
-    assert code == 1
-    assert "positive" in err
+    for bad in ("-1", "inf"):
+        monkeypatch.setenv("MILNOR_TOL", bad)
+        code, _, err = run_cli(
+            ["reduce", "--family", "rh-line", "--dim", "3", "--random", "2"], capsys
+        )
+        assert code == 1
+        assert "positive" in err
 
     monkeypatch.setenv("MILNOR_TOL", "not-a-number")
     code, _, err = run_cli(
@@ -224,3 +225,32 @@ def test_derivations_over_the_leibniz_cap_exits_1(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curvature", "--family", "rh-line", "--dim", "4", "--lambda", "nan", "--json"],
+        ["curvature", "--family", "rh-line", "--dim", "4", "--lambda", "inf"],
+        ["solvsoliton", "--family", "rh-line", "--dim", "4", "--random", "3", "--tol", "nan"],
+        ["solvsoliton", "--family", "rh-line", "--dim", "4", "--random", "3", "--tol", "inf"],
+        ["signature-sweep", "--family", "rh-line", "--dim", "4", "--samples", "-3"],
+    ],
+    ids=["lambda-nan", "lambda-inf", "tol-nan", "tol-inf", "negative-samples"],
+)
+def test_malformed_numbers_exit_1(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "error" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_lambda_exits_2(capsys):
+    # λ² overflows to inf inside the closed-form Ricci operator
+    code, out, err = run_cli(
+        ["curvature", "--family", "rh-line", "--dim", "4", "--lambda", "1e300", "--json"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "numerical" in err

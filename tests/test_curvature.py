@@ -18,6 +18,7 @@ from milnor_frames import (
     sample_metric,
     signature,
 )
+from milnor_frames.errors import UnsupportedFamilyError
 
 LAMBDAS = (0.0, 0.5, 1.0, 2.0, 7.3)
 
@@ -100,6 +101,13 @@ class TestJacobiEigensolver:
         monkeypatch.setattr(eigensolve, "MAX_SWEEPS", 1)
         with pytest.raises(np.linalg.LinAlgError, match="converge"):
             jacobi_eigh(a + a.T)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+    def test_non_finite_input_raises(self, bad):
+        # NaN fails every convergence test silently; 1e300 overflows the norm
+        with pytest.raises(np.linalg.LinAlgError, match="finite"):
+            jacobi_eigh(np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_convergence_on_the_last_sweep_is_accepted(self, monkeypatch):
         # one rotation diagonalizes a 2x2 matrix exactly
@@ -252,6 +260,15 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             closed_form_ricci("rh-line", 2, 0.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_rejects_non_finite_lambda(self, lam):
+        with pytest.raises(ValueError, match="finite"):
+            closed_form_ricci("rh-line", 4, lam)
+
+    def test_rejects_custom(self):
+        with pytest.raises(UnsupportedFamilyError):
+            closed_form_ricci("custom", 4, 0.0)
+
 
 class TestSignature:
     def test_family1_generic(self):
@@ -264,6 +281,10 @@ class TestSignature:
 
     def test_zero_matrix(self):
         assert signature(np.zeros((4, 4))) == (0, 4, 0)
+
+    def test_nan_entry_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            signature(np.diag([np.nan, 1.0, -1.0]))
 
     def test_scale_invariance(self):
         rep = closed_form_ricci("rh-line", 5, 2.0)

@@ -178,6 +178,11 @@ class TestConjugation:
         D = conj.mats[0] / conj.mats[0][1, 1]
         assert abs(D[n - 1, 1] - lam) < 1e-12
 
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_rejects_bad_lambda(self, lam):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            conjugated_derivation_basis(family_derivation_basis(4), lam)
+
     @pytest.mark.parametrize("lam", [0.0, 2.5, 1e3])
     def test_elements_are_the_conjugates_themselves(self, lam):
         # 0/1 entries and a representable lam make every product exact

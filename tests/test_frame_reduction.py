@@ -20,7 +20,7 @@ from milnor_frames import (
     validate_aut_element,
     validate_gram,
 )
-from milnor_frames.frame_reduction import format_gram
+from milnor_frames.frame_reduction import _rotation_onto_last_axis, format_gram
 
 
 def g_lambda(n, lam):
@@ -196,6 +196,71 @@ class TestReduce:
         for _ in range(3):
             reduce(alg, G)
         assert len(calls) == 3
+
+
+def step_matrix_reduction(G):
+    """(λ, k, frame, automorphism) by an LQ factorisation and step matrices.
+
+    An LQ factorisation g q = T with positive diagonal, then the scaled
+    automorphism A = blockdiag(A_1, A_4) [[I, 0], [v_1 e_1^T, I]]
+    blockdiag(I_2, B^T) as a product of step matrices, ψ = A / A_11 and
+    frame ψ g_λ.  Kept as an independent reference for ``reduce``.
+    """
+    n = G.shape[0]
+    Q, R = np.linalg.qr(gram_to_group_element(G).T)
+    signs = np.sign(np.diag(R))
+    signs[signs == 0] = 1.0
+    T = R.T * signs
+    V = np.linalg.solve(T[2:, 2:], T[2:, :2])
+    lam, B = _rotation_onto_last_axis(V[:, 1])
+    step_blocks = np.zeros((n, n))
+    step_blocks[:2, :2] = T[:2, :2]
+    step_blocks[2:, 2:] = T[2:, 2:]
+    step_col = np.eye(n)
+    step_col[2:, 0] = V[:, 0]
+    step_rot = np.eye(n)
+    step_rot[2:, 2:] = B.T
+    A = step_blocks @ step_col @ step_rot
+    psi = A / A[0, 0]
+    return lam, A[0, 0] ** 2, psi @ g_lambda(n, lam), psi
+
+
+def orbit_metric(rng, n, lam):
+    """Gram matrix of c phi g_λ q: a random point of the λ orbit."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    g = rng.uniform(0.5, 2.0) * pattern_automorphism(rng, n) @ g_lambda(n, lam) @ q
+    G = np.linalg.inv(g @ g.T)
+    return 0.5 * (G + G.T)
+
+
+class TestReduceAgainstStepMatrices:
+    @pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_same_reduction(self, family, n):
+        rng = np.random.default_rng(7000 + n)
+        alg = build_family(family, n)
+        metrics = [sample_metric(RandomMetricSpec(seed=31 * n + s), n) for s in range(6)]
+        metrics += [orbit_metric(rng, n, lam) for lam in (0.0, 1e-3, 1.0, 1e3)]
+        for G in metrics:
+            fr = reduce(alg, G)
+            lam, k, frame, psi = step_matrix_reduction(G)
+            assert abs(fr.lam - lam) <= 1e-13 * lam
+            assert abs(fr.scale_k - k) <= 1e-13 * k
+            assert np.max(np.abs(fr.frame - frame)) <= 1e-12 * np.max(np.abs(frame))
+            assert np.max(np.abs(fr.automorphism - psi)) <= 1e-12 * np.max(np.abs(psi))
+        assert reduce(alg, metrics[6]).lam == 0.0
+        for G, want in zip(metrics[7:], (1e-3, 1.0, 1e3)):
+            assert reduce(alg, G).lam == pytest.approx(want, rel=1e-6)
+
+    def test_reduce_calls_no_qr(self, monkeypatch):
+        def refuse(*_, **__):
+            raise AssertionError("reduce called np.linalg.qr")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        for family in ("rh2+abelian", "rh-line"):
+            for n in (3, 6):
+                fr = reduce(build_family(family, n), sample_metric(RandomMetricSpec(seed=n), n))
+                assert fr.residuals.orthonormality < 1e-8
 
 
 class TestOrbitParameterEqual:

@@ -10,6 +10,7 @@ from milnor_frames import (
     LieAlgebra,
     ShapeError,
     SingularMatrixError,
+    UnsupportedFamilyError,
     bracket,
     build_family,
     change_basis,
@@ -57,6 +58,21 @@ class TestBuildFamily:
     @pytest.mark.parametrize("n", range(3, 7))
     def test_families_are_lie_algebras(self, family, n):
         assert jacobi_defect(build_family(family, n)) == 0.0
+
+    @pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_pattern_at_zero_is_the_canonical_basis(self, family, n):
+        np.testing.assert_array_equal(milnor_pattern(family, n, 0.0).c, build_family(family, n).c)
+
+    def test_shared_guards(self):
+        for make in (lambda: build_family("custom", 4), lambda: milnor_pattern("custom", 4, 1.0)):
+            with pytest.raises(UnsupportedFamilyError):
+                make()
+        with pytest.raises(DimensionError):
+            milnor_pattern("rh-line", 2, 1.0)
+        for lam in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="nonnegative"):
+                milnor_pattern("rh2+abelian", 4, lam)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_constants_rejected(self, bad):
