@@ -9,9 +9,10 @@ expressed in such a frame, the connection coefficients are
 the curvature is R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 - nabla_{[X,Y]} Z, and the Ricci operator is Ric(X) = sum_i R(X, x_i) x_i.
 
-For a generic metric G the frame comes from the triangular factor of G
-(columns of the inverse transpose are orthonormal for G); the Ricci
-eigenvalues do not depend on that choice.  For the two built-in
+For a generic metric G the frame is the lower-triangular group element g
+of ``frame_reduction`` ((g g^T)^{-1} = G, so the columns of g are
+orthonormal for G), the frame that ``reduce`` also starts from; the
+Ricci eigenvalues do not depend on that choice.  For the two built-in
 families with frame parameter λ the operator is also available in
 closed form:
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .eigensolve import jacobi_eigh
 from .errors import ShapeError
-from .frame_reduction import validate_gram
+from .frame_reduction import gram_to_group_element
 from .lie_core import Family, LieAlgebra, _checked_family, change_basis
 
 SIGNATURE_TOL = 1e-8
@@ -108,17 +109,16 @@ def _report(ric: np.ndarray) -> RicciReport:
 def ricci_operator(g: LieAlgebra, G: np.ndarray) -> RicciReport:
     """Ricci operator of the metric G on g, reported in an orthonormal frame.
 
-    The basis is orthonormalized by the triangular factor of G, the
-    structure constants are pushed into that frame, and the Koszul /
-    curvature pipeline contracts down to the operator.
+    The frame is the group element g of ``gram_to_group_element``, the
+    structure constants are pushed into it, and the Koszul / curvature
+    pipeline contracts down to the operator.  For a family metric that
+    ``reduce`` takes to (X, k, λ) the matrix is k Q Ric(λ) Q^T, with
+    Q = sqrt(k) g^{-1} X orthogonal and Ric(λ) the closed form.
     """
-    G = validate_gram(G)
-    if G.shape[0] != g.dim:
-        raise ShapeError(f"Gram matrix is {G.shape[0]}x{G.shape[0]}, algebra has dim {g.dim}")
-    L = np.linalg.cholesky(G)
-    frame = np.linalg.inv(L).T
-    g_frame = change_basis(g, frame)
-    return _report(_ricci_matrix(g_frame))
+    frame = gram_to_group_element(G)
+    if frame.shape[0] != g.dim:
+        raise ShapeError(f"Gram matrix is {frame.shape[0]}x{frame.shape[0]}, algebra has dim {g.dim}")
+    return _report(_ricci_matrix(change_basis(g, frame)))
 
 
 def closed_form_ricci(family_tag: Family | str, n: int, lam: float) -> RicciReport:

@@ -69,7 +69,8 @@ def jacobi_eigh(a: np.ndarray, tol: float = CONVERGENCE_RTOL) -> tuple[np.ndarra
         raise ShapeError(f"expected a square matrix, got {A.shape}")
     n = A.shape[0]
     V = np.eye(n)
-    norm = np.linalg.norm(A, "fro")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(A, "fro")
     # NaN passes no convergence test, and an infinite norm passes every one.
     if not np.isfinite(norm):
         raise np.linalg.LinAlgError(f"matrix has a non-finite entry or norm ({norm})")

@@ -47,12 +47,8 @@ LAMBDA_SNAP = 1e-9
 CONDITION_WARN = 1e12
 
 
-def validate_gram(G: np.ndarray) -> np.ndarray:
-    """Check finiteness, symmetry and positive definiteness; return a frozen copy.
-
-    Symmetry must hold within 1e-10 of the matrix scale; definiteness is
-    certified by a successful triangular factorization.
-    """
+def _factor_gram(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``validate_gram`` and ``gram_to_group_element`` from one factorization."""
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ShapeError(f"Gram matrix must be square, got {G.shape}")
@@ -64,11 +60,20 @@ def validate_gram(G: np.ndarray) -> np.ndarray:
         raise ShapeError("Gram matrix is not symmetric")
     G = 0.5 * (G + G.T)
     try:
-        np.linalg.cholesky(G)
+        U = np.linalg.cholesky(G[::-1, ::-1])[::-1, ::-1]
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("Gram matrix is not positive definite") from exc
     G.setflags(write=False)
-    return G
+    return G, np.linalg.inv(U).T
+
+
+def validate_gram(G: np.ndarray) -> np.ndarray:
+    """Check finiteness, symmetry and positive definiteness; return a frozen copy.
+
+    Symmetry must hold within 1e-10 of the matrix scale; definiteness is
+    certified by a successful triangular factorization.
+    """
+    return _factor_gram(G)[0]
 
 
 def gram_to_group_element(G: np.ndarray) -> np.ndarray:
@@ -80,16 +85,7 @@ def gram_to_group_element(G: np.ndarray) -> np.ndarray:
     lower-triangular matrices with positive diagonal: if g is such a
     matrix, gram_to_group_element((g g^T)^{-1}) reproduces g.
     """
-    return _group_element(validate_gram(G))
-
-
-def _group_element(G: np.ndarray) -> np.ndarray:
-    """``gram_to_group_element`` for a Gram matrix already validated."""
-    n = G.shape[0]
-    flip = np.eye(n)[::-1]
-    M = np.linalg.cholesky(flip @ G @ flip)
-    U = flip @ M @ flip
-    return np.linalg.inv(U).T
+    return _factor_gram(G)[1]
 
 
 @dataclass(frozen=True)
@@ -168,13 +164,12 @@ def reduce(g_alg: LieAlgebra, G: np.ndarray) -> MilnorFrame:
     """
     if g_alg.family_tag not in FAMILIES:
         raise UnsupportedFamilyError("reduce needs a built-in family metric")
-    G = validate_gram(G)
+    G, g = _factor_gram(G)
     n = g_alg.dim
     if G.shape[0] != n:
         raise ShapeError(f"Gram matrix is {G.shape[0]}x{G.shape[0]}, algebra has dim {n}")
 
     cond = float(np.linalg.cond(G))
-    g = _group_element(G)
 
     # Both columns: a one-column solve rounds v_2, and so λ, differently.
     V = np.linalg.solve(g[2:, 2:], g[2:, :2])

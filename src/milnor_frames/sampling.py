@@ -67,11 +67,12 @@ def sample_metric(spec: RandomMetricSpec, n: int) -> np.ndarray:
     rng = SplitMix64(spec.seed)
     A = rng.matrix(n, n)
     S = A.T @ A
-    norm = float(np.linalg.norm(S, 2))
-    if norm == 0.0:
+    s = np.linalg.svd(S, compute_uv=False)
+    if s[0] == 0.0:
         return np.eye(n)
-    G = S + 1e-6 * norm * np.eye(n)
-    cond = float(np.linalg.cond(G))
+    eps = 1e-6 * float(s[0])
+    G = S + eps * np.eye(n)
+    cond = float((s[0] + eps) / (s[-1] + eps))
     if cond > spec.cond_cap:
         raise ValueError(f"sampled condition number {cond:g} exceeds cap {spec.cond_cap:g}")
     return G

@@ -245,7 +245,6 @@ def test_malformed_numbers_exit_1(argv, capsys):
     assert "error" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_overflowing_lambda_exits_2(capsys):
     # λ² overflows to inf inside the closed-form Ricci operator
     code, out, err = run_cli(
@@ -253,4 +252,5 @@ def test_overflowing_lambda_exits_2(capsys):
     )
     assert code == 2
     assert out == ""
-    assert "numerical" in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:")

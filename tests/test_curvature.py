@@ -8,6 +8,7 @@ from milnor_frames import (
     build_family,
     change_basis,
     closed_form_ricci,
+    gram_to_group_element,
     jacobi_eigh,
     levi_civita,
     milnor_pattern,
@@ -102,7 +103,6 @@ class TestJacobiEigensolver:
         with pytest.raises(np.linalg.LinAlgError, match="converge"):
             jacobi_eigh(a + a.T)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
     def test_non_finite_input_raises(self, bad):
         # NaN fails every convergence test silently; 1e300 overflows the norm
@@ -230,6 +230,21 @@ class TestRicciOperator:
         got = ricci_operator(alg, G).eigenvalues
         want = np.sort(fr.scale_k * closed_form_ricci(family, n, fr.lam).eigenvalues)
         np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-7 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_frame_is_the_group_element(self, family, n, seed):
+        # the frame is g; reduce's frame X is g Q / sqrt(k) with Q orthogonal,
+        # so the matrix itself, not only its spectrum, is k Q Ric(λ) Q^T
+        alg = build_family(family, n)
+        G = sample_metric(RandomMetricSpec(seed=2000 + 10 * n + seed), n)
+        fr = reduce(alg, G)
+        Q = np.sqrt(fr.scale_k) * np.linalg.solve(gram_to_group_element(G), fr.frame)
+        np.testing.assert_allclose(Q @ Q.T, np.eye(n), atol=1e-12)
+        got = ricci_operator(alg, G).ric
+        want = fr.scale_k * Q @ closed_form_ricci(family, n, fr.lam).ric @ Q.T
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(got))
 
     def test_symmetry_of_report(self):
         rep = ricci_operator(build_family("rh-line", 6), np.eye(6))

@@ -16,6 +16,7 @@ from milnor_frames import (
     orbit_parameter_equal,
     parse_gram,
     reduce,
+    ricci_operator,
     sample_metric,
     validate_aut_element,
     validate_gram,
@@ -181,20 +182,37 @@ class TestReduce:
             reduce(alg, np.eye(3))
 
     def test_validates_the_gram_matrix_once(self, monkeypatch):
+        # validation and factorisation are one step, taken once per call
         import milnor_frames.frame_reduction as fr_mod
 
         calls = []
-        real = fr_mod.validate_gram
+        real = fr_mod._factor_gram
 
         def counting(G):
             calls.append(1)
             return real(G)
 
-        monkeypatch.setattr(fr_mod, "validate_gram", counting)
+        monkeypatch.setattr(fr_mod, "_factor_gram", counting)
         alg = build_family("rh-line", 5)
         G = sample_metric(RandomMetricSpec(seed=5), 5)
         for _ in range(3):
             reduce(alg, G)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("fn", [reduce, ricci_operator])
+    def test_factors_the_gram_matrix_once(self, fn, monkeypatch):
+        calls = []
+        real = np.linalg.cholesky
+
+        def counting(a):
+            calls.append(1)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        alg = build_family("rh2+abelian", 6)
+        G = sample_metric(RandomMetricSpec(seed=6), 6)
+        for _ in range(3):
+            fn(alg, G)
         assert len(calls) == 3
 
 
