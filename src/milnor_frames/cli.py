@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,31 +35,12 @@ from .solvsoliton import classify_metric
 _FAMILY_CHOICES = ("rh2+abelian", "rh-line")
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation; one subcommand plus its inputs."""
-
-    subcommand: str
-    family: str | None = None
-    dim: int = 0
-    metric_path: str | None = None
-    seed: int | None = None
-    lam: float | None = None
-    tol: float = 1e-8
-    output: str = "text"
-    samples: int = 100
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad flags; the contract reserves 2 for
     # numerical failures, so remap parse errors to 1.
     def error(self, message: str) -> None:  # pragma: no cover - trivial
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _default_tol() -> float:
-    return float(os.environ.get("MILNOR_TOL", "1e-8"))
 
 
 def _add_common(p: argparse.ArgumentParser, metric: bool = False, lam: bool = False) -> None:
@@ -98,41 +78,37 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        family=getattr(args, "family", None),
-        dim=getattr(args, "dim", 0),
-        metric_path=getattr(args, "metric", None),
-        seed=getattr(args, "random", None) if args.subcommand != "signature-sweep" else getattr(args, "seed", 0),
-        lam=getattr(args, "lam", None),
-        tol=getattr(args, "tol", None) if getattr(args, "tol", None) is not None else _default_tol(),
-        output="json" if getattr(args, "as_json", False) else "text",
-        samples=getattr(args, "samples", 100),
-    )
+def _tol(args: argparse.Namespace) -> float:
+    """--tol, else MILNOR_TOL, else 1e-8; verify-paper has no --tol."""
+    tol = getattr(args, "tol", None)
+    if tol is None:
+        tol = float(os.environ.get("MILNOR_TOL", "1e-8"))
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    return tol
 
 
-def _emit(payload: dict | list, config: RunConfig, text_lines: list[str]) -> str:
-    if config.output == "json":
+def _emit(payload: dict | list, args: argparse.Namespace, text_lines: list[str]) -> str:
+    if args.as_json:
         return json.dumps(payload, indent=2, sort_keys=True)
     return "\n".join(text_lines)
 
 
-def _load_metric(config: RunConfig) -> np.ndarray:
-    if config.metric_path is not None:
-        with open(config.metric_path, "r", encoding="utf-8") as fh:
+def _load_metric(args: argparse.Namespace) -> np.ndarray:
+    if args.metric is not None:
+        with open(args.metric, "r", encoding="utf-8") as fh:
             G = parse_gram(fh.read())
-        if G.shape[0] != config.dim:
+        if G.shape[0] != args.dim:
             raise DimensionError(
-                f"metric file is {G.shape[0]}x{G.shape[0]}, --dim is {config.dim}"
+                f"metric file is {G.shape[0]}x{G.shape[0]}, --dim is {args.dim}"
             )
         return G
-    return sample_metric(RandomMetricSpec(seed=config.seed or 0), config.dim)
+    return sample_metric(RandomMetricSpec(seed=args.random), args.dim)
 
 
-def _run_reduce(config: RunConfig) -> tuple[int, str]:
-    alg = build_family(config.family, config.dim)
-    G = _load_metric(config)
+def _run_reduce(args: argparse.Namespace) -> tuple[int, str]:
+    alg = build_family(args.family, args.dim)
+    G = _load_metric(args)
     fr = reduce(alg, G)
     res = fr.residuals
     payload = {
@@ -147,7 +123,7 @@ def _run_reduce(config: RunConfig) -> tuple[int, str]:
         },
     }
     lines = [
-        f"family   {config.family}   dim {config.dim}",
+        f"family   {args.family}   dim {args.dim}",
         f"lambda   {fr.lam!r}",
         f"k        {fr.scale_k!r}",
         "frame (columns are the frame vectors)",
@@ -159,46 +135,38 @@ def _run_reduce(config: RunConfig) -> tuple[int, str]:
     )
     if res.conditioning_warning:
         lines.append("warning: condition number above 1e12, results may be inaccurate")
-    return 0, _emit(payload, config, lines)
+    return 0, _emit(payload, args, lines)
 
 
-def _report_payload(report, extra: dict | None = None) -> dict:
+def _run_curvature(args: argparse.Namespace) -> tuple[int, str]:
+    if args.lam is not None:
+        if args.lam < 0:
+            raise ValueError("--lambda must be nonnegative")
+        report = closed_form_ricci(args.family, args.dim, args.lam)
+    else:
+        alg = build_family(args.family, args.dim)
+        report = ricci_operator(alg, _load_metric(args))
     payload = {
         "ric": [float(v) for v in report.ric.ravel()],
         "eigenvalues": [float(v) for v in report.eigenvalues],
         "signature": list(report.signature),
         "scalar_curvature": report.scalar_curvature,
     }
-    if extra:
-        payload.update(extra)
-    return payload
-
-
-def _run_curvature(config: RunConfig) -> tuple[int, str]:
-    if config.lam is not None:
-        if config.lam < 0:
-            raise ValueError("--lambda must be nonnegative")
-        report = closed_form_ricci(config.family, config.dim, config.lam)
-        extra = {"lambda": config.lam}
-    else:
-        alg = build_family(config.family, config.dim)
-        report = ricci_operator(alg, _load_metric(config))
-        extra = {}
-    payload = _report_payload(report, extra)
-    lines = [f"family   {config.family}   dim {config.dim}"]
-    if config.lam is not None:
-        lines.append(f"lambda   {config.lam!r}")
+    lines = [f"family   {args.family}   dim {args.dim}"]
+    if args.lam is not None:
+        payload["lambda"] = args.lam
+        lines.append(f"lambda   {args.lam!r}")
     lines.append("ricci operator (orthonormal frame)")
     lines += ["  " + " ".join(f"{v: .12g}" for v in row) for row in report.ric]
     lines.append("eigenvalues  " + " ".join(f"{v:.12g}" for v in report.eigenvalues))
     m_neg, m_zero, m_pos = report.signature
     lines.append(f"signature (-,0,+) = ({m_neg}, {m_zero}, {m_pos})")
     lines.append(f"scalar curvature  {report.scalar_curvature!r}")
-    return 0, _emit(payload, config, lines)
+    return 0, _emit(payload, args, lines)
 
 
-def _run_derivations(config: RunConfig) -> tuple[int, str]:
-    alg = build_family(config.family, config.dim)
+def _run_derivations(args: argparse.Namespace) -> tuple[int, str]:
+    alg = build_family(args.family, args.dim)
     basis = derivation_basis(alg)
     payload = {
         "dim": basis.dim,
@@ -209,12 +177,12 @@ def _run_derivations(config: RunConfig) -> tuple[int, str]:
     for mat in basis.mats:
         lines.append("")
         lines += [" ".join(f"{v: .12g}" for v in row) for row in mat]
-    return 0, _emit(payload, config, lines)
+    return 0, _emit(payload, args, lines)
 
 
-def _run_solvsoliton(config: RunConfig) -> tuple[int, str]:
-    alg = build_family(config.family, config.dim)
-    verdict, lam = classify_metric(alg, _load_metric(config), tol=config.tol)
+def _run_solvsoliton(args: argparse.Namespace) -> tuple[int, str]:
+    alg = build_family(args.family, args.dim)
+    verdict, lam = classify_metric(alg, _load_metric(args), tol=args.tol)
     payload = {
         "lambda": lam,
         "is_solvsoliton": verdict.is_solvsoliton,
@@ -225,39 +193,39 @@ def _run_solvsoliton(config: RunConfig) -> tuple[int, str]:
         "einstein_residual": verdict.einstein_residual,
     }
     lines = [
-        f"family   {config.family}   dim {config.dim}",
+        f"family   {args.family}   dim {args.dim}",
         f"lambda   {lam!r}",
         f"solvsoliton   {verdict.is_solvsoliton}   (residual {verdict.residual:.3e})",
         f"c        {verdict.c!r}",
         f"einstein {verdict.is_einstein}   (residual {verdict.einstein_residual:.3e})",
     ]
-    return 0, _emit(payload, config, lines)
+    return 0, _emit(payload, args, lines)
 
 
-def _run_signature_sweep(config: RunConfig) -> tuple[int, str]:
-    if config.samples < 0:
-        raise ValueError(f"--samples must be nonnegative, got {config.samples}")
-    alg = build_family(config.family, config.dim)
-    stream = SplitMix64(config.seed or 0)
+def _run_signature_sweep(args: argparse.Namespace) -> tuple[int, str]:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be nonnegative, got {args.samples}")
+    alg = build_family(args.family, args.dim)
+    stream = SplitMix64(args.seed)
     counts: dict[tuple[int, int, int], int] = {}
-    for _ in range(config.samples):
-        G = sample_metric(RandomMetricSpec(seed=stream.next_uint64()), config.dim)
+    for _ in range(args.samples):
+        G = sample_metric(RandomMetricSpec(seed=stream.next_uint64()), args.dim)
         sig = ricci_operator(alg, G).signature
         counts[sig] = counts.get(sig, 0) + 1
     ordered = sorted(counts.items())
     payload = {
-        "family": config.family,
-        "dim": config.dim,
-        "samples": config.samples,
-        "seed": config.seed or 0,
+        "family": args.family,
+        "dim": args.dim,
+        "samples": args.samples,
+        "seed": args.seed,
         "histogram": [{"signature": list(sig), "count": cnt} for sig, cnt in ordered],
     }
-    lines = [f"family {config.family}  dim {config.dim}  samples {config.samples}"]
+    lines = [f"family {args.family}  dim {args.dim}  samples {args.samples}"]
     lines += [f"(-,0,+) = {sig}: {cnt}" for sig, cnt in ordered]
-    return 0, _emit(payload, config, lines)
+    return 0, _emit(payload, args, lines)
 
 
-def _run_verify(config: RunConfig) -> tuple[int, str]:
+def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
     results = verify_mod.run_all()
     payload = [
         {"name": r.name, "passed": r.passed, "detail": r.detail, "elapsed": round(r.elapsed, 3)}
@@ -268,7 +236,7 @@ def _run_verify(config: RunConfig) -> tuple[int, str]:
     ]
     n_fail = sum(not r.passed for r in results)
     lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")
-    return (0 if n_fail == 0 else 1), _emit(payload, config, lines)
+    return (0 if n_fail == 0 else 1), _emit(payload, args, lines)
 
 
 _DISPATCH = {
@@ -281,18 +249,20 @@ _DISPATCH = {
 }
 
 
-def run(config: RunConfig) -> tuple[int, str]:
-    """Dispatch a parsed configuration; returns (exit code, report text)."""
-    if not 0.0 < config.tol < np.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {config.tol}")
-    return _DISPATCH[config.subcommand](config)
+def run(args: argparse.Namespace) -> tuple[int, str]:
+    """Dispatch the namespace ``build_parser().parse_args`` returns.
+
+    ``args.tol`` is resolved and checked first, for every subcommand;
+    returns (exit code, report text).
+    """
+    args.tol = _tol(args)
+    return _DISPATCH[args.subcommand](args)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        code, text = run(config)
+        code, text = run(args)
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

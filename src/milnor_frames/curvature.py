@@ -101,7 +101,7 @@ def _report(ric: np.ndarray) -> RicciReport:
     return RicciReport(
         ric=ric,
         eigenvalues=w,
-        signature=_count_signature(w, SIGNATURE_TOL),
+        signature=_count_signature(w),
         scalar_curvature=float(np.trace(ric)),
     )
 
@@ -143,26 +143,27 @@ def _closed_form_matrix(family_tag: Family | str, n: int, lam: float) -> np.ndar
     return ric
 
 
-def _count_signature(w: np.ndarray, tol: float) -> tuple[int, int, int]:
+def _count_signature(w: np.ndarray) -> tuple[int, int, int]:
     s = float(np.max(np.abs(w))) if w.size else 0.0
     if s == 0.0:
         return (0, len(w), 0)
-    neg = int(np.sum(w < -tol * s))
-    pos = int(np.sum(w > tol * s))
+    neg = int(np.sum(w < -SIGNATURE_TOL * s))
+    pos = int(np.sum(w > SIGNATURE_TOL * s))
     return (neg, len(w) - neg - pos, pos)
 
 
-def signature(sym: np.ndarray, tol: float = SIGNATURE_TOL) -> tuple[int, int, int]:
+def signature(sym: np.ndarray) -> tuple[int, int, int]:
     """Counts (negative, zero, positive) of eigenvalues of a symmetric matrix.
 
-    The zero band is ``tol`` times the spectral radius, so the result is
-    invariant under rescaling the matrix.
+    The zero band is ``SIGNATURE_TOL`` times the spectral radius, so the
+    result is invariant under rescaling the matrix; the symmetry check
+    uses the same relative tolerance.
     """
     A = np.asarray(sym, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError(f"expected a square matrix, got {A.shape}")
     scale = float(np.max(np.abs(A))) or 1.0
-    if np.max(np.abs(A - A.T)) > tol * scale:
+    if np.max(np.abs(A - A.T)) > SIGNATURE_TOL * scale:
         raise ShapeError("matrix is not symmetric within tolerance")
     w, _ = jacobi_eigh(0.5 * (A + A.T))
-    return _count_signature(w, tol)
+    return _count_signature(w)

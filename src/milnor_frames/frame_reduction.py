@@ -141,14 +141,12 @@ def _rotation_onto_last_axis(v2: np.ndarray) -> tuple[float, np.ndarray]:
     w = v2.copy()
     w[-1] -= sigma
     H = np.eye(m) - 2.0 * np.outer(w, w) / (w @ w)
-    if sigma == -lam:
-        # reflection has det -1; flip the first block coordinate, which the
-        # target vector does not touch
-        flip = np.eye(m)
-        flip[0, 0] = -1.0
-        return lam, flip @ H
+    # The reflection has det -1.  When it already lands on -λ, flip the
+    # first block coordinate, which the target vector does not touch;
+    # otherwise flip the last, which takes +λ to -λ.
     flip = np.eye(m)
-    flip[-1, -1] = -1.0
+    i = 0 if sigma == -lam else m - 1
+    flip[i, i] = -1.0
     return lam, flip @ H
 
 

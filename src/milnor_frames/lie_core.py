@@ -147,11 +147,9 @@ def jacobi_defect(g: LieAlgebra) -> float:
     which is 0 for a genuine Lie algebra.
     """
     c = g.c
-    jac = (
-        np.einsum("jkm,iml->ijkl", c, c)
-        + np.einsum("kim,jml->ijkl", c, c)
-        + np.einsum("ijm,kml->ijkl", c, c)
-    )
+    # The three terms are one contraction with (i, j, k) cycled.
+    A = np.einsum("jkm,iml->ijkl", c, c)
+    jac = A + A.transpose(2, 0, 1, 3) + A.transpose(1, 2, 0, 3)
     return float(np.max(np.abs(jac)))
 
 

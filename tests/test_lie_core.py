@@ -174,6 +174,20 @@ class TestJacobiDefect:
             c[j, i, k] = -1.0
         assert jacobi_defect(LieAlgebra(dim=4, c=c)) > 0.1
 
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_matches_the_three_term_sum(self, n):
+        # Reference: each term of the Jacobi identity as its own contraction.
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            c = rng.standard_normal((n, n, n))
+            c = c - c.transpose(1, 0, 2)
+            jac = (
+                np.einsum("jkm,iml->ijkl", c, c)
+                + np.einsum("kim,jml->ijkl", c, c)
+                + np.einsum("ijm,kml->ijkl", c, c)
+            )
+            assert jacobi_defect(LieAlgebra(dim=n, c=c)) == float(np.max(np.abs(jac)))
+
 
 class TestChangeBasis:
     def test_identity(self):
