@@ -9,7 +9,6 @@ solvsoliton / Einstein verdicts.
 """
 
 from .curvature import (
-    ConnectionTable,
     RicciReport,
     closed_form_ricci,
     levi_civita,
@@ -59,7 +58,6 @@ from .solvsoliton import SolitonVerdict, classify_metric, solvsoliton_solve
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConnectionTable",
     "DerivationBasis",
     "DimensionError",
     "Family",

@@ -27,12 +27,10 @@ from . import verify as verify_mod
 from .curvature import closed_form_ricci, ricci_operator
 from .derivations import derivation_basis
 from .errors import DimensionError
-from .frame_reduction import parse_gram, reduce
-from .lie_core import build_family
+from .frame_reduction import DEFAULT_TOL, parse_gram, reduce
+from .lie_core import FAMILIES, build_family
 from .sampling import RandomMetricSpec, SplitMix64, sample_metric
 from .solvsoliton import classify_metric
-
-_FAMILY_CHOICES = ("rh2+abelian", "rh-line")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: argparse.ArgumentParser, metric: bool = False, lam: bool = False) -> None:
-    p.add_argument("--family", required=True, choices=_FAMILY_CHOICES)
+    p.add_argument("--family", required=True, choices=[f.value for f in FAMILIES])
     p.add_argument("--dim", required=True, type=int, metavar="N")
     p.add_argument("--tol", type=float, default=None, metavar="T")
     p.add_argument("--json", action="store_true", dest="as_json")
@@ -79,10 +77,10 @@ def build_parser() -> _Parser:
 
 
 def _tol(args: argparse.Namespace) -> float:
-    """--tol, else MILNOR_TOL, else 1e-8; verify-paper has no --tol."""
+    """--tol, else MILNOR_TOL, else DEFAULT_TOL; verify-paper has no --tol."""
     tol = getattr(args, "tol", None)
     if tol is None:
-        tol = float(os.environ.get("MILNOR_TOL", "1e-8"))
+        tol = float(os.environ.get("MILNOR_TOL", DEFAULT_TOL))
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     return tol

@@ -20,6 +20,14 @@ closed form:
 * ``rh-line``: diagonal (-(n-2) - λ²/2, -λ²/2, -(n-2), ..., -(n-2),
   λ²/2 - (n-2)) plus the symmetric coupling (n-1)λ/2 in positions
   (2, n) and (n, 2).
+
+Every eigenvalue in the package comes from one place, ``_report``: it
+calls ``eigensolve.jacobi_eigh`` for the eigenvalues alone (no
+eigenvectors are formed) and counts the signature from them; the
+public ``signature`` runs through it too.  ``ricci_operator`` keeps
+its ``change_basis``, ``riemann`` and ``jacobi_eigh`` steps by name
+because ``perfbench`` traces them as its layers; ``riemann`` refuses
+dimensions whose n^4-entry tensor would exceed ``TENSOR_MAX_BYTES``.
 """
 
 from __future__ import annotations
@@ -29,23 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolve import jacobi_eigh
-from .errors import ShapeError
+from .errors import DimensionError, ShapeError
 from .frame_reduction import gram_to_group_element
-from .lie_core import Family, LieAlgebra, _checked_family, change_basis
+from .lie_core import TENSOR_MAX_BYTES, Family, LieAlgebra, _checked_family, _freeze, change_basis
 
 SIGNATURE_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class ConnectionTable:
-    """Connection coefficients gamma[i, j, k] = <nabla_{x_i} x_j, x_k>."""
-
-    gamma: np.ndarray
-
-    def __post_init__(self) -> None:
-        gam = np.array(self.gamma, dtype=float)
-        gam.setflags(write=False)
-        object.__setattr__(self, "gamma", gam)
 
 
 @dataclass(frozen=True)
@@ -59,31 +55,34 @@ class RicciReport:
 
     def __post_init__(self) -> None:
         for name in ("ric", "eigenvalues"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
-def levi_civita(g: LieAlgebra) -> ConnectionTable:
-    """Connection coefficients of the metric in which the basis of g is
-    orthonormal (Koszul formula specialized to a frame).
+def levi_civita(g: LieAlgebra) -> np.ndarray:
+    """Connection coefficients gamma[i, j, k] = <nabla_{x_i} x_j, x_k> of
+    the metric in which the basis of g is orthonormal (Koszul formula
+    specialized to a frame), as a read-only array.
     """
     c = g.c
-    gamma = 0.5 * (
-        np.einsum("kij->ijk", c) + np.einsum("kji->ijk", c) + c
-    )
-    return ConnectionTable(gamma=gamma)
+    return _freeze(0.5 * (np.einsum("kij->ijk", c) + np.einsum("kji->ijk", c) + c))
 
 
-def riemann(ct: ConnectionTable, g: LieAlgebra) -> np.ndarray:
-    """Curvature tensor R[i, j, k, l] = <R(x_i, x_j) x_k, x_l>.
+def riemann(gam: np.ndarray, g: LieAlgebra) -> np.ndarray:
+    """Curvature tensor R[i, j, k, l] = <R(x_i, x_j) x_k, x_l> from the
+    connection coefficients ``gam = levi_civita(g)``.
 
     R[i,j,k,l] = sum_m gamma[j,k,m] gamma[i,m,l] - (i <-> j)
     - c[i,j,m] gamma[m,k,l]; the two sums over m are matrix products of
-    reshaped (n^2, n) and (n, n^2) tables.
+    reshaped (n^2, n) and (n, n^2) tables.  Raises ``DimensionError``
+    before allocating when an n^4-entry array would exceed
+    ``TENSOR_MAX_BYTES``.
     """
-    gam = ct.gamma
     n = gam.shape[0]
+    if 8 * n**4 > TENSOR_MAX_BYTES:
+        raise DimensionError(
+            f"the Riemann tensor has n^4 entries, {8 * n**4 / 2**20:.0f} MiB "
+            f"at n = {n}, over the {TENSOR_MAX_BYTES >> 20} MiB cap"
+        )
     first = gam.reshape(n * n, n) @ gam.transpose(1, 0, 2).reshape(n, n * n)
     first = first.reshape(n, n, n, n).transpose(2, 0, 1, 3)
     bracket = (g.c.reshape(n * n, n) @ gam.reshape(n, n * n)).reshape(n, n, n, n)
@@ -97,11 +96,16 @@ def _ricci_matrix(g: LieAlgebra) -> np.ndarray:
 
 
 def _report(ric: np.ndarray) -> RicciReport:
-    w, _ = jacobi_eigh(ric)
+    """The eigen step: eigenvalues and the signature, whose zero band is
+    ``SIGNATURE_TOL`` times the spectral radius."""
+    w = jacobi_eigh(ric)
+    band = SIGNATURE_TOL * float(np.max(np.abs(w)))
+    neg = int(np.sum(w < -band))
+    pos = int(np.sum(w > band))
     return RicciReport(
         ric=ric,
         eigenvalues=w,
-        signature=_count_signature(w),
+        signature=(neg, len(w) - neg - pos, pos),
         scalar_curvature=float(np.trace(ric)),
     )
 
@@ -143,15 +147,6 @@ def _closed_form_matrix(family_tag: Family | str, n: int, lam: float) -> np.ndar
     return ric
 
 
-def _count_signature(w: np.ndarray) -> tuple[int, int, int]:
-    s = float(np.max(np.abs(w))) if w.size else 0.0
-    if s == 0.0:
-        return (0, len(w), 0)
-    neg = int(np.sum(w < -SIGNATURE_TOL * s))
-    pos = int(np.sum(w > SIGNATURE_TOL * s))
-    return (neg, len(w) - neg - pos, pos)
-
-
 def signature(sym: np.ndarray) -> tuple[int, int, int]:
     """Counts (negative, zero, positive) of eigenvalues of a symmetric matrix.
 
@@ -165,5 +160,4 @@ def signature(sym: np.ndarray) -> tuple[int, int, int]:
     scale = float(np.max(np.abs(A))) or 1.0
     if np.max(np.abs(A - A.T)) > SIGNATURE_TOL * scale:
         raise ShapeError("matrix is not symmetric within tolerance")
-    w, _ = jacobi_eigh(0.5 * (A + A.T))
-    return _count_signature(w)
+    return _report(0.5 * (A + A.T)).signature

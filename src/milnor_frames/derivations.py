@@ -22,7 +22,7 @@ oracle.  The SVD of ``derivation_basis`` serves CUSTOM algebras and the
 CLI ``derivations`` subcommand, and in ``verify`` it is the independent
 oracle that certifies the closed form.
 The Leibniz tensor behind the SVD has n^5 entries, so ``derivation_basis``
-refuses dimensions whose tensor would exceed ``LEIBNIZ_MAX_BYTES``.
+refuses dimensions whose tensor would exceed ``lie_core.TENSOR_MAX_BYTES``.
 """
 
 from __future__ import annotations
@@ -32,14 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ShapeError, UnsupportedFamilyError
-from .lie_core import Family, LieAlgebra, jacobi_defect
+from .lie_core import TENSOR_MAX_BYTES, Family, LieAlgebra, _freeze, jacobi_defect
 
 NULLSPACE_RTOL = 1e-9
 PATTERN_TOL = 1e-8
-LEIBNIZ_MAX_BYTES = 1 << 26
-"""Largest Leibniz tensor ``derivation_basis`` builds: 64 MiB of float64,
-which admits n <= 24 (24^5 entries take 61 MiB).  The working set peaks at
-about twice the tensor: 130 MB above the bare interpreter at n = 24."""
 
 
 @dataclass(frozen=True)
@@ -54,10 +50,9 @@ class DerivationBasis:
     mats: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.mats, dtype=float)
+        m = _freeze(self.mats)
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
             raise ShapeError(f"expected (d, n, n) stack of matrices, got {m.shape}")
-        m.setflags(write=False)
         object.__setattr__(self, "mats", m)
 
     @property
@@ -91,13 +86,13 @@ def derivation_basis(g: LieAlgebra) -> DerivationBasis:
     Requires jacobi_defect(g) < 1e-9.  The abelian algebra returns the
     full n^2-dimensional matrix space.  Raises ``DimensionError`` before
     allocating anything of size n^4 or more when the n^5-entry Leibniz
-    tensor would exceed ``LEIBNIZ_MAX_BYTES``.
+    tensor would exceed ``TENSOR_MAX_BYTES``.
     """
     n = g.dim
-    if 8 * n**5 > LEIBNIZ_MAX_BYTES:
+    if 8 * n**5 > TENSOR_MAX_BYTES:
         raise DimensionError(
             f"Der(g) by SVD needs an n^5-entry Leibniz tensor, {8 * n**5 / 2**20:.0f} MiB "
-            f"at n = {n}, over the {LEIBNIZ_MAX_BYTES >> 20} MiB cap"
+            f"at n = {n}, over the {TENSOR_MAX_BYTES >> 20} MiB cap"
         )
     defect = jacobi_defect(g)
     if defect >= 1e-9:
@@ -115,8 +110,9 @@ def derivation_basis(g: LieAlgebra) -> DerivationBasis:
 def is_derivation(g: LieAlgebra, D: np.ndarray, tol: float) -> tuple[bool, float]:
     """Check the Leibniz rule for one matrix; returns (verdict, defect).
 
-    The defect is the max over pairs i < j of the sup-norm of
-    D[e_i,e_j] - [De_i,e_j] - [e_i,De_j].
+    The defect is the max over all pairs (i, j) of the sup-norm of
+    D[e_i,e_j] - [De_i,e_j] - [e_i,De_j]; for antisymmetric c that is the
+    max over i < j, since the (j, i) entries are the negated (i, j) ones.
     """
     D = np.asarray(D, dtype=float)
     n = g.dim
@@ -125,8 +121,7 @@ def is_derivation(g: LieAlgebra, D: np.ndarray, tol: float) -> tuple[bool, float
     c = g.c
     lhs = np.einsum("ijm,km->ijk", c, D)
     rhs = np.einsum("mi,mjk->ijk", D, c) + np.einsum("mj,imk->ijk", D, c)
-    iu, ju = np.triu_indices(n, k=1)
-    defect = float(np.max(np.abs((lhs - rhs)[iu, ju]))) if iu.size else 0.0
+    defect = float(np.max(np.abs(lhs - rhs)))
     return defect <= tol, defect
 
 

@@ -1,21 +1,26 @@
-"""Symmetric eigensolver: cyclic Jacobi rotations in round-robin order.
+"""Symmetric eigenvalues: cyclic Jacobi rotations in round-robin order.
 
 Small dense symmetric matrices are all this package ever diagonalizes,
-and the Jacobi iteration is simple, accurate, and has no tunable state
-beyond the convergence threshold.  A sweep visits every off-diagonal
-pair (p, q) once and applies the Givens rotation that zeroes A[p, q];
-iteration stops when the off-diagonal Frobenius norm drops below
-``tol * ||A||_F``.  A matrix still above that after ``MAX_SWEEPS``
-sweeps raises ``numpy.linalg.LinAlgError`` instead of returning
-unconverged eigenvalues.
+and only their eigenvalues are ever read, so ``jacobi_eigh`` has the
+contract of ``numpy.linalg.eigvalsh``: eigenvalues ascending, no
+eigenvectors, ``numpy.linalg.LinAlgError`` on failure.  A sweep visits
+every off-diagonal pair (p, q) once and applies the Givens rotation that
+zeroes A[p, q]; iteration stops when the off-diagonal Frobenius norm
+drops below ``CONVERGENCE_RTOL * ||A||_F``.  A matrix still above that
+after ``MAX_SWEEPS`` sweeps raises instead of returning unconverged
+eigenvalues.
 
 The pairs of a sweep are visited in the parallel ("round-robin" or
 chess-tournament) ordering of Brent & Luk (SIAM J. Sci. Stat. Comput.
 6, 1985; Golub & Van Loan, *Matrix Computations*, §8.5): n - 1 rounds
 (n rounded up to even) of disjoint pairs.  Rotations on disjoint pairs
 commute, so each round is applied at once as one orthogonal J,
-A <- J^T A J and V <- V J, with every rotation angle taken from the
-matrix as it stood at the start of the round.
+A <- J^T A J, with every rotation angle taken from the matrix as it
+stood at the start of the round; the rotations are not accumulated.
+
+``curvature._report`` is the one caller in the package.  The name stays
+because ``perfbench`` traces it as the eigen layer of ``ricci_operator``;
+once that layer is re-defined, ``eigvalsh`` takes its place there.
 """
 
 from __future__ import annotations
@@ -56,30 +61,29 @@ def _rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(rounds)
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = CONVERGENCE_RTOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix.
+def jacobi_eigh(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, ascending.
 
-    Returns (eigenvalues ascending, eigenvectors as columns) with
-    A @ V = V @ diag(w).  Raises ``numpy.linalg.LinAlgError`` on a
-    non-finite entry or Frobenius norm, and when the iteration has not
-    converged after ``MAX_SWEEPS`` sweeps.
+    Raises ``numpy.linalg.LinAlgError`` on a non-finite entry or
+    Frobenius norm, and when the iteration has not converged after
+    ``MAX_SWEEPS`` sweeps.
     """
     A = np.array(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError(f"expected a square matrix, got {A.shape}")
     n = A.shape[0]
-    V = np.eye(n)
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(A, "fro")
     # NaN passes no convergence test, and an infinite norm passes every one.
     if not np.isfinite(norm):
         raise np.linalg.LinAlgError(f"matrix has a non-finite entry or norm ({norm})")
     if norm == 0.0:
-        return np.zeros(n), V
+        return np.zeros(n)
 
+    target = CONVERGENCE_RTOL * norm
     for _ in range(MAX_SWEEPS):
         off = np.linalg.norm(A - np.diag(np.diag(A)), "fro")
-        if off <= tol * norm:
+        if off <= target:
             break
         for p, q in _rounds(n):
             apq = A[p, q]
@@ -96,16 +100,13 @@ def jacobi_eigh(a: np.ndarray, tol: float = CONVERGENCE_RTOL) -> tuple[np.ndarra
             J[q, p] = -s
             A = J.T @ A @ J
             A[p, q] = A[q, p] = 0.0
-            V = V @ J
     else:
         # the last sweep may have converged; only its check is missing
         off = np.linalg.norm(A - np.diag(np.diag(A)), "fro")
-        if not off <= tol * norm:
+        if not off <= target:
             raise np.linalg.LinAlgError(
                 f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps "
-                f"(off-diagonal norm {off:.3e}, target {tol * norm:.3e})"
+                f"(off-diagonal norm {off:.3e}, target {target:.3e})"
             )
 
-    w = np.diag(A).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
+    return np.sort(np.diag(A))

@@ -40,7 +40,7 @@ import numpy as np
 
 from .derivations import _forbidden_mask
 from .errors import NotPositiveDefiniteError, ShapeError, UnsupportedFamilyError
-from .lie_core import FAMILIES, LieAlgebra, change_basis, milnor_pattern
+from .lie_core import FAMILIES, LieAlgebra, _freeze, change_basis, milnor_pattern
 
 DEFAULT_TOL = 1e-8
 LAMBDA_SNAP = 1e-9
@@ -118,9 +118,7 @@ class MilnorFrame:
 
     def __post_init__(self) -> None:
         for name in ("frame", "automorphism"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
 def _rotation_onto_last_axis(v2: np.ndarray) -> tuple[float, np.ndarray]:
@@ -217,7 +215,7 @@ def validate_aut_element(
     True iff M vanishes where Der(g) does except at (1,1), since the
     scaled automorphisms have Lie algebra R I + Der(g), and, after
     dividing out the scalar c = M[1][1], satisfies the automorphism
-    equation phi[x, y] = [phi x, phi y] within tol.
+    equation phi[x, y] = [phi x, phi y] within tol, over all basis pairs.
     """
     M = np.asarray(M, dtype=float)
     n = g_alg.dim
@@ -234,8 +232,7 @@ def validate_aut_element(
     phi = M / c_scalar
     lhs = np.einsum("ijm,km->ijk", g_alg.c, phi)
     rhs = np.einsum("mi,lj,mlk->ijk", phi, phi, g_alg.c)
-    iu, ju = np.triu_indices(n, k=1)
-    defect = float(np.max(np.abs((lhs - rhs)[iu, ju])))
+    defect = float(np.max(np.abs(lhs - rhs)))
     return defect <= tol * max(1.0, scale)
 
 

@@ -32,6 +32,13 @@ from .errors import (
 ANTISYMMETRY_ATOL = 1e-12
 JACOBI_ATOL = 1e-12
 
+TENSOR_MAX_BYTES = 1 << 26
+"""Largest dense float64 tensor one call builds: 64 MiB, which admits
+n <= 53 for the n^4-entry Riemann tensor and n <= 24 for the n^5-entry
+Leibniz tensor of ``derivation_basis`` (24^5 entries take 61 MiB).  The
+Leibniz working set peaks at about twice the tensor: 130 MB above the
+bare interpreter at n = 24."""
+
 
 class Family(str, Enum):
     """Tags for the built-in algebra families (values match the CLI)."""
@@ -171,6 +178,8 @@ def change_basis(g: LieAlgebra, basis: np.ndarray) -> LieAlgebra:
     P = np.asarray(basis, dtype=float)
     if P.shape != (g.dim, g.dim):
         raise ShapeError(f"basis matrix must be {g.dim}x{g.dim}, got {P.shape}")
+    if not np.all(np.isfinite(P)):
+        raise ShapeError("basis matrix must be finite")
     s = np.linalg.svd(P, compute_uv=False)
     if s[-1] <= 1e-12 * s[0]:
         raise SingularMatrixError("basis matrix is singular to working precision")

@@ -30,7 +30,7 @@ from .curvature import _closed_form_matrix
 from .derivations import DerivationBasis, _forbidden_mask
 from .errors import ShapeError
 from .frame_reduction import DEFAULT_TOL, reduce
-from .lie_core import LieAlgebra
+from .lie_core import LieAlgebra, _freeze
 
 
 @dataclass(frozen=True)
@@ -50,15 +50,12 @@ class SolitonVerdict:
     einstein_residual: float
 
     def __post_init__(self) -> None:
-        a = np.array(self.derivation_coeffs, dtype=float)
-        a.setflags(write=False)
-        object.__setattr__(self, "derivation_coeffs", a)
+        object.__setattr__(self, "derivation_coeffs", _freeze(self.derivation_coeffs))
 
 
-def solvsoliton_solve(
-    ric: np.ndarray, der_basis: DerivationBasis, tol: float = DEFAULT_TOL
-) -> SolitonVerdict:
-    """Minimize ||ric - c I - sum_j a_j D_j||_F and threshold the residual.
+def solvsoliton_solve(ric: np.ndarray, der_basis: DerivationBasis) -> SolitonVerdict:
+    """Minimize ||ric - c I - sum_j a_j D_j||_F and threshold the residual
+    at ``DEFAULT_TOL`` relative to ||ric||_F.
 
     ``ric`` and the basis must be expressed in the same frame.  An empty
     basis solves over span{I} alone.  Near-collinear columns are handled
@@ -78,7 +75,7 @@ def solvsoliton_solve(
     b = ric.ravel()
     sol, _, _, _ = np.linalg.lstsq(M, b, rcond=1e-12)
     residual = float(np.linalg.norm(M @ sol - b))
-    return _verdict(ric, float(sol[0]), sol[1:], residual, tol)
+    return _verdict(ric, float(sol[0]), sol[1:], residual, DEFAULT_TOL)
 
 
 def _verdict(

@@ -228,6 +228,29 @@ def test_derivations_over_the_leibniz_cap_exits_1(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["signature-sweep", "--family", "rh-line", "--dim", "4"], 1),
+        (["curvature", "--family", "rh2+abelian", "--dim", "4", "--metric", "METRIC"], 1),
+        # the closed form builds no Riemann tensor
+        (["curvature", "--family", "rh-line", "--dim", "4", "--lambda", "1"], 0),
+    ],
+    ids=["signature-sweep", "curvature-metric", "curvature-lambda"],
+)
+def test_riemann_cap_in_the_cli(argv, code, monkeypatch, tmp_path, capsys):
+    from milnor_frames import curvature
+
+    path = tmp_path / "metric.txt"
+    path.write_text(format_gram(sample_metric(RandomMetricSpec(seed=5), 4)))
+    monkeypatch.setattr(curvature, "TENSOR_MAX_BYTES", 8 * 4**4 - 1)
+    got, out, err = run_cli([str(path) if a == "METRIC" else a for a in argv], capsys)
+    assert got == code
+    if code:
+        assert out == ""
+        assert "cap" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["curvature", "--family", "rh-line", "--dim", "4", "--lambda", "nan", "--json"],

@@ -13,7 +13,8 @@ from milnor_frames import (
     is_derivation,
     pattern_check,
 )
-from milnor_frames.derivations import family_derivation_basis
+from milnor_frames.derivations import _forbidden_mask, family_derivation_basis
+from milnor_frames.frame_reduction import validate_aut_element
 
 
 def E(n, i, j):
@@ -116,7 +117,7 @@ def test_leibniz_cap_refuses_before_allocating(monkeypatch):
     with pytest.raises(DimensionError, match="cap"):
         derivation_basis(build_family("rh-line", 25))
     # the largest CUSTOM and verify inputs stay far below it
-    assert 8 * 12**5 * 20 < derivations.LEIBNIZ_MAX_BYTES < 8 * 25**5
+    assert 8 * 12**5 * 20 < derivations.TENSOR_MAX_BYTES < 8 * 25**5
 
 
 class TestIsDerivation:
@@ -245,3 +246,64 @@ def test_conjugation_matches_derivations_of_moved_algebra(family):
     proj_conj = q @ q.T
     proj_moved = span_projector(derivation_basis(moved).mats)
     assert np.max(np.abs(proj_conj - proj_moved)) < 1e-8
+
+
+# --- whole-tensor defects against the i < j gather they replaced ---------
+
+
+def _pair_max(t):
+    """max |t[i, j, :]| over the pairs i < j only."""
+    iu, ju = np.triu_indices(t.shape[0], k=1)
+    return float(np.max(np.abs(t[iu, ju])))
+
+
+def _leibniz_defect_by_pairs(g, D):
+    c = g.c
+    lhs = np.einsum("ijm,km->ijk", c, D)
+    rhs = np.einsum("mi,mjk->ijk", D, c) + np.einsum("mj,imk->ijk", D, c)
+    return _pair_max(lhs - rhs)
+
+
+def _aut_verdict_by_pairs(g, M, tol):
+    n = g.dim
+    scale = float(np.max(np.abs(M))) or 1.0
+    zero_positions = _forbidden_mask(n)
+    zero_positions[0, 0] = False
+    if np.max(np.abs(M[zero_positions])) > tol * scale or abs(M[0, 0]) <= tol * scale:
+        return False
+    phi = M / M[0, 0]
+    lhs = np.einsum("ijm,km->ijk", g.c, phi)
+    rhs = np.einsum("mi,lj,mlk->ijk", phi, phi, g.c)
+    return _pair_max(lhs - rhs) <= tol * max(1.0, scale)
+
+
+def _pushed(family, n):
+    rng = np.random.default_rng(n)
+    P = rng.uniform(-1.0, 1.0, size=(n, n)) + 2.0 * np.eye(n)
+    return rng, P, change_basis(build_family(family, n), P)
+
+
+@pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
+@pytest.mark.parametrize("n", [3, 5, 8, 12])
+class TestWholeTensorDefects:
+    def test_is_derivation_matches_the_pair_gather(self, family, n):
+        rng, P, alg = _pushed(family, n)
+        P_inv = np.linalg.inv(P)
+        mats = [P_inv @ D @ P for D in family_derivation_basis(n).mats]
+        mats += [rng.normal(size=(n, n)) for _ in range(5)]
+        for D in mats:
+            assert is_derivation(alg, D, tol=1e-8)[1] == _leibniz_defect_by_pairs(alg, D)
+
+    def test_validate_aut_element_matches_the_pair_gather(self, family, n):
+        rng, _, pushed = _pushed(family, n)
+        free = ~_forbidden_mask(n)
+        cands = [np.eye(n) + 0.5 * D for D in family_derivation_basis(n).mats]
+        cands += [np.eye(n) + 0.3 * rng.normal(size=(n, n)) * free for _ in range(5)]
+        verdicts = set()
+        for alg in (build_family(family, n), pushed):
+            for M in cands:
+                for tol in (1e-10, 1e-4, 0.1, 1.0):
+                    got = validate_aut_element(alg, M, tol=tol)
+                    assert got == _aut_verdict_by_pairs(alg, M, tol)
+                    verdicts.add(got)
+        assert verdicts == {True, False}

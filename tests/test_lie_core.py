@@ -218,6 +218,17 @@ class TestChangeBasis:
         with pytest.raises(SingularMatrixError):
             change_basis(alg, np.ones((3, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_basis_rejected_before_the_svd(self, bad, monkeypatch):
+        def refuse(*_, **__):
+            raise AssertionError("SVD ran on a non-finite basis")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        P = np.eye(3)
+        P[1, 2] = bad
+        with pytest.raises(ShapeError, match="basis matrix must be finite"):
+            change_basis(build_family("rh-line", 3), P)
+
     # The pinned seeds draw cond(P) of roughly 600-1400, where the round
     # trip is most sensitive to the order of the contraction.
     @given(seed=st.integers(0, 2**31))
