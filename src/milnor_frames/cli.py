@@ -138,8 +138,6 @@ def _run_reduce(args: argparse.Namespace) -> tuple[int, str]:
 
 def _run_curvature(args: argparse.Namespace) -> tuple[int, str]:
     if args.lam is not None:
-        if args.lam < 0:
-            raise ValueError("--lambda must be nonnegative")
         report = closed_form_ricci(args.family, args.dim, args.lam)
     else:
         alg = build_family(args.family, args.dim)

@@ -22,12 +22,14 @@ closed form:
   (2, n) and (n, 2).
 
 Every eigenvalue in the package comes from one place, ``_report``: it
-calls ``eigensolve.jacobi_eigh`` for the eigenvalues alone (no
-eigenvectors are formed) and counts the signature from them; the
-public ``signature`` runs through it too.  ``ricci_operator`` keeps
-its ``change_basis``, ``riemann`` and ``jacobi_eigh`` steps by name
-because ``perfbench`` traces them as its layers; ``riemann`` refuses
-dimensions whose n^4-entry tensor would exceed ``TENSOR_MAX_BYTES``.
+calls ``eigensolve.jacobi_eigh``, which is LAPACK's ``eigvalsh`` (the
+eigenvalues alone, no eigenvectors) behind finiteness checks, and counts
+the signature from them; the public ``signature`` runs through it too.
+``ricci_operator`` keeps its ``change_basis``, ``riemann`` and
+``jacobi_eigh`` steps by name because ``perfbench`` traces them as its
+layers, until the benchmark re-defines those layers (ROADMAP item 1,
+step 1); ``riemann`` refuses dimensions whose n^4-entry tensor would
+exceed ``TENSOR_MAX_BYTES``.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolve import jacobi_eigh
-from .errors import DimensionError, ShapeError
+from .errors import ShapeError
 from .frame_reduction import gram_to_group_element
-from .lie_core import TENSOR_MAX_BYTES, Family, LieAlgebra, _checked_family, _freeze, change_basis
+from .lie_core import Family, LieAlgebra, _checked_family, _freeze, _refuse_above_cap, change_basis
 
 SIGNATURE_TOL = 1e-8
 
@@ -78,11 +80,7 @@ def riemann(gam: np.ndarray, g: LieAlgebra) -> np.ndarray:
     ``TENSOR_MAX_BYTES``.
     """
     n = gam.shape[0]
-    if 8 * n**4 > TENSOR_MAX_BYTES:
-        raise DimensionError(
-            f"the Riemann tensor has n^4 entries, {8 * n**4 / 2**20:.0f} MiB "
-            f"at n = {n}, over the {TENSOR_MAX_BYTES >> 20} MiB cap"
-        )
+    _refuse_above_cap("the Riemann tensor", n, 4)
     first = gam.reshape(n * n, n) @ gam.transpose(1, 0, 2).reshape(n, n * n)
     first = first.reshape(n, n, n, n).transpose(2, 0, 1, 3)
     bracket = (g.c.reshape(n * n, n) @ gam.reshape(n, n * n)).reshape(n, n, n, n)

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ShapeError, UnsupportedFamilyError
-from .lie_core import TENSOR_MAX_BYTES, Family, LieAlgebra, _freeze, jacobi_defect
+from .errors import ShapeError, UnsupportedFamilyError
+from .lie_core import Family, LieAlgebra, _freeze, _refuse_above_cap, jacobi_defect
 
 NULLSPACE_RTOL = 1e-9
 PATTERN_TOL = 1e-8
@@ -89,11 +89,7 @@ def derivation_basis(g: LieAlgebra) -> DerivationBasis:
     tensor would exceed ``TENSOR_MAX_BYTES``.
     """
     n = g.dim
-    if 8 * n**5 > TENSOR_MAX_BYTES:
-        raise DimensionError(
-            f"Der(g) by SVD needs an n^5-entry Leibniz tensor, {8 * n**5 / 2**20:.0f} MiB "
-            f"at n = {n}, over the {TENSOR_MAX_BYTES >> 20} MiB cap"
-        )
+    _refuse_above_cap("the Leibniz tensor of Der(g) by SVD", n, 5)
     defect = jacobi_defect(g)
     if defect >= 1e-9:
         raise ValueError(f"not a Lie algebra (Jacobi defect {defect:g})")

@@ -198,9 +198,12 @@ def orbit_parameter_equal(
 ) -> bool:
     """Whether two metrics reduce to the same frame parameter.
 
-    Agreement certifies that the metrics lie in the same scaled
-    automorphism orbit; disagreement is reported as parameter
-    inequality only.
+    Compares the reduced λ of ``reduce(g_alg, G1)`` and
+    ``reduce(g_alg, G2)`` within ``tol``, nothing more.  By the moduli
+    result for these families (the classes of left-invariant metrics up
+    to isometry and scaling are {g_λ : λ >= 0}), equal λ implies the
+    same scaled automorphism orbit, but no certificate φ with
+    φ^T G1 φ proportional to G2 is computed yet (ROADMAP item 4).
     """
     lam1 = reduce(g_alg, G1).lam
     lam2 = reduce(g_alg, G2).lam

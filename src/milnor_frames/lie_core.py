@@ -34,10 +34,22 @@ JACOBI_ATOL = 1e-12
 
 TENSOR_MAX_BYTES = 1 << 26
 """Largest dense float64 tensor one call builds: 64 MiB, which admits
-n <= 53 for the n^4-entry Riemann tensor and n <= 24 for the n^5-entry
+n <= 203 for the n^3-entry structure tensor, n <= 53 for the n^4-entry
+Riemann tensor and Jacobi contraction, and n <= 24 for the n^5-entry
 Leibniz tensor of ``derivation_basis`` (24^5 entries take 61 MiB).  The
 Leibniz working set peaks at about twice the tensor: 130 MB above the
 bare interpreter at n = 24."""
+
+
+def _refuse_above_cap(what: str, n: int, rank: int) -> None:
+    """Raise ``DimensionError`` when ``what``, a float64 tensor of n^rank
+    entries, would exceed ``TENSOR_MAX_BYTES``; call it before allocating."""
+    size = 8 * n**rank
+    if size > TENSOR_MAX_BYTES:
+        raise DimensionError(
+            f"{what} has n^{rank} entries, {size / 2**20:.0f} MiB at n = {n}, "
+            f"over the {TENSOR_MAX_BYTES >> 20} MiB cap"
+        )
 
 
 class Family(str, Enum):
@@ -87,12 +99,14 @@ class LieAlgebra:
 
 
 def _checked_family(family_tag: Family | str, n: int, lam: float = 0.0) -> Family:
-    """The built-in family named by ``family_tag``; needs n >= 3 and 0 <= λ < inf."""
+    """The built-in family named by ``family_tag``; needs 0 <= λ < inf and
+    n >= 3, with the n^3-entry structure tensor within ``TENSOR_MAX_BYTES``."""
     family = Family(family_tag)
     if family is Family.CUSTOM:
         raise UnsupportedFamilyError("operation needs a built-in family, got 'custom'")
     if n < 3:
         raise DimensionError(f"family algebras need n >= 3, got {n}")
+    _refuse_above_cap("the structure tensor", n, 3)
     if not 0.0 <= lam < np.inf:
         raise ValueError(f"frame parameter must be finite and nonnegative, got {lam}")
     return family
@@ -151,9 +165,12 @@ def jacobi_defect(g: LieAlgebra) -> float:
     """Worst violation of the Jacobi identity over all basis triples.
 
     Returns ``max_{i,j,k} || [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]] ||_inf``,
-    which is 0 for a genuine Lie algebra.
+    which is 0 for a genuine Lie algebra.  Raises ``DimensionError``
+    before allocating when the n^4-entry contraction would exceed
+    ``TENSOR_MAX_BYTES``.
     """
     c = g.c
+    _refuse_above_cap("the Jacobi contraction", g.dim, 4)
     # The three terms are one contraction with (i, j, k) cycled.
     A = np.einsum("jkm,iml->ijkl", c, c)
     jac = A + A.transpose(2, 0, 1, 3) + A.transpose(1, 2, 0, 3)
@@ -212,6 +229,8 @@ def parse_structure_constants(text: str) -> LieAlgebra:
         raise ValueError(f"first line must be the dimension, got {lines[0]!r}") from exc
     if n < 2:
         raise DimensionError(f"need dim >= 2, got {n}")
+    # the Jacobi check below contracts n^4 entries
+    _refuse_above_cap("the Jacobi contraction", n, 4)
     c = np.zeros((n, n, n))
     for ln in lines[1:]:
         parts = ln.split()

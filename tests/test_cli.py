@@ -167,18 +167,22 @@ def test_numerical_failure_maps_to_exit_2(monkeypatch, capsys):
     assert "numerical" in err
 
 
-def test_eigensolver_non_convergence_exits_2(monkeypatch, tmp_path, capsys):
-    from milnor_frames import eigensolve
+def test_eigen_failure_exits_2(monkeypatch, tmp_path, capsys):
+    from milnor_frames import curvature
 
-    G = sample_metric(RandomMetricSpec(seed=5), 5)
+    def fail(a):
+        raise np.linalg.LinAlgError("synthetic eigenvalue failure")
+
     path = tmp_path / "metric.txt"
-    path.write_text(format_gram(G))
-    monkeypatch.setattr(eigensolve, "MAX_SWEEPS", 1)
-    code, _, err = run_cli(
+    path.write_text(format_gram(sample_metric(RandomMetricSpec(seed=5), 5)))
+    monkeypatch.setattr(curvature, "jacobi_eigh", fail)
+    code, out, err = run_cli(
         ["curvature", "--family", "rh-line", "--dim", "5", "--metric", str(path)], capsys
     )
     assert code == 2
-    assert "converge" in err
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:")
 
 
 def test_curvature_text_output(capsys):
@@ -227,6 +231,19 @@ def test_derivations_over_the_leibniz_cap_exits_1(monkeypatch, capsys):
     assert "cap" in err
 
 
+def test_dim_over_the_structure_tensor_cap_exits_1(monkeypatch, capsys):
+    from milnor_frames import lie_core
+
+    def refuse(*_):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(lie_core, "_canonical_constants", refuse)
+    code, out, err = run_cli(["derivations", "--family", "rh-line", "--dim", "204"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "cap" in err
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -238,11 +255,11 @@ def test_derivations_over_the_leibniz_cap_exits_1(monkeypatch, capsys):
     ids=["signature-sweep", "curvature-metric", "curvature-lambda"],
 )
 def test_riemann_cap_in_the_cli(argv, code, monkeypatch, tmp_path, capsys):
-    from milnor_frames import curvature
+    from milnor_frames import lie_core
 
     path = tmp_path / "metric.txt"
     path.write_text(format_gram(sample_metric(RandomMetricSpec(seed=5), 4)))
-    monkeypatch.setattr(curvature, "TENSOR_MAX_BYTES", 8 * 4**4 - 1)
+    monkeypatch.setattr(lie_core, "TENSOR_MAX_BYTES", 8 * 4**4 - 1)
     got, out, err = run_cli([str(path) if a == "METRIC" else a for a in argv], capsys)
     assert got == code
     if code:
@@ -255,11 +272,12 @@ def test_riemann_cap_in_the_cli(argv, code, monkeypatch, tmp_path, capsys):
     [
         ["curvature", "--family", "rh-line", "--dim", "4", "--lambda", "nan", "--json"],
         ["curvature", "--family", "rh-line", "--dim", "4", "--lambda", "inf"],
+        ["curvature", "--family", "rh-line", "--dim", "4", "--lambda", "-1"],
         ["solvsoliton", "--family", "rh-line", "--dim", "4", "--random", "3", "--tol", "nan"],
         ["solvsoliton", "--family", "rh-line", "--dim", "4", "--random", "3", "--tol", "inf"],
         ["signature-sweep", "--family", "rh-line", "--dim", "4", "--samples", "-3"],
     ],
-    ids=["lambda-nan", "lambda-inf", "tol-nan", "tol-inf", "negative-samples"],
+    ids=["lambda-nan", "lambda-inf", "lambda-negative", "tol-nan", "tol-inf", "negative-samples"],
 )
 def test_malformed_numbers_exit_1(argv, capsys):
     code, out, err = run_cli(argv, capsys)

@@ -41,19 +41,6 @@ class TestJacobiEigensolver:
         w = jacobi_eigh(a)
         np.testing.assert_allclose(w, np.linalg.eigvalsh(a), atol=1e-10)
 
-    @pytest.mark.parametrize("n", range(2, 26))
-    def test_rounds_are_disjoint_and_cover_each_pair_once(self, n):
-        from milnor_frames.eigensolve import _rounds
-
-        seen = []
-        for p, q in _rounds(n):
-            assert np.all(p < q)
-            touched = np.concatenate([p, q])
-            assert len(set(touched.tolist())) == touched.size  # disjoint within a round
-            seen.extend(zip(p.tolist(), q.tolist()))
-        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
-        assert len(_rounds(n)) == n - 1 + n % 2
-
     @pytest.mark.parametrize(
         "ric",
         [
@@ -74,13 +61,6 @@ class TestJacobiEigensolver:
         scale = np.max(np.abs(ric))
         np.testing.assert_allclose(w, np.sort(np.diag(ric)), atol=1e-12 * scale)
 
-    def test_diagonal_input_needs_no_sweep(self, monkeypatch):
-        from milnor_frames import eigensolve
-
-        monkeypatch.setattr(eigensolve, "MAX_SWEEPS", 0)
-        w = jacobi_eigh(np.diag([3.0, -1.0, 2.0, -1.0]))
-        np.testing.assert_array_equal(w, [-1.0, -1.0, 2.0, 3.0])
-
     def test_zero_matrix(self):
         w = jacobi_eigh(np.zeros((3, 3)))
         np.testing.assert_array_equal(w, np.zeros(3))
@@ -89,28 +69,11 @@ class TestJacobiEigensolver:
         with pytest.raises(ShapeError):
             jacobi_eigh(np.ones((2, 3)))
 
-    def test_non_convergence_raises(self, monkeypatch):
-        from milnor_frames import eigensolve
-
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(6, 6))
-        monkeypatch.setattr(eigensolve, "MAX_SWEEPS", 1)
-        with pytest.raises(np.linalg.LinAlgError, match="converge"):
-            jacobi_eigh(a + a.T)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
     def test_non_finite_input_raises(self, bad):
-        # NaN fails every convergence test silently; 1e300 overflows the norm
+        # eigvalsh returns [0, -0] for a NaN entry; 1e300 overflows the norm
         with pytest.raises(np.linalg.LinAlgError, match="finite"):
             jacobi_eigh(np.array([[bad, 0.0], [0.0, 1.0]]))
-
-    def test_convergence_on_the_last_sweep_is_accepted(self, monkeypatch):
-        # one rotation diagonalizes a 2x2 matrix exactly
-        from milnor_frames import eigensolve
-
-        monkeypatch.setattr(eigensolve, "MAX_SWEEPS", 1)
-        w = jacobi_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(w, [1.0, 3.0], atol=1e-14)
 
 
 class TestConnection:
@@ -155,11 +118,11 @@ class TestRiemann:
         assert np.max(np.abs(riemann(levi_civita(alg), alg))) == 0.0
 
     def test_cap(self, monkeypatch):
-        from milnor_frames import DimensionError, curvature
+        from milnor_frames import DimensionError, lie_core
 
         # the real cap admits n <= 53
-        assert 8 * 53**4 <= curvature.TENSOR_MAX_BYTES < 8 * 54**4
-        monkeypatch.setattr(curvature, "TENSOR_MAX_BYTES", 8 * 4**4 - 1)
+        assert 8 * 53**4 <= lie_core.TENSOR_MAX_BYTES < 8 * 54**4
+        monkeypatch.setattr(lie_core, "TENSOR_MAX_BYTES", 8 * 4**4 - 1)
         alg = build_family("rh-line", 4)
         with pytest.raises(DimensionError, match="cap"):
             riemann(levi_civita(alg), alg)

@@ -107,7 +107,7 @@ def test_non_lie_input_rejected():
 
 
 def test_leibniz_cap_refuses_before_allocating(monkeypatch):
-    from milnor_frames import DimensionError, derivations
+    from milnor_frames import DimensionError, derivations, lie_core
 
     def refuse(*_):
         raise AssertionError("allocated before the size check")
@@ -117,7 +117,7 @@ def test_leibniz_cap_refuses_before_allocating(monkeypatch):
     with pytest.raises(DimensionError, match="cap"):
         derivation_basis(build_family("rh-line", 25))
     # the largest CUSTOM and verify inputs stay far below it
-    assert 8 * 12**5 * 20 < derivations.TENSOR_MAX_BYTES < 8 * 25**5
+    assert 8 * 12**5 * 20 < lie_core.TENSOR_MAX_BYTES < 8 * 25**5
 
 
 class TestIsDerivation:

@@ -138,6 +138,37 @@ class TestBracket:
         np.testing.assert_allclose(lhs, rhs, atol=1e-12 * scale)
 
 
+class TestDimensionCaps:
+    """Every n^3 and n^4 tensor is refused before it is allocated."""
+
+    def test_structure_tensor_cap(self, monkeypatch):
+        from milnor_frames import lie_core
+
+        # the real cap admits n <= 203
+        assert 8 * 203**3 <= lie_core.TENSOR_MAX_BYTES < 8 * 204**3
+
+        def refuse(*_):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(lie_core, "_canonical_constants", refuse)
+        with pytest.raises(DimensionError, match="cap"):
+            build_family("rh-line", 204)
+        with pytest.raises(DimensionError, match="cap"):
+            milnor_pattern("rh2+abelian", 204, 1.0)
+
+    def test_jacobi_contraction_cap(self, monkeypatch):
+        from milnor_frames import lie_core
+
+        # the real cap admits n <= 53
+        assert 8 * 53**4 <= lie_core.TENSOR_MAX_BYTES < 8 * 54**4
+        with pytest.raises(DimensionError, match="cap"):
+            parse_structure_constants("54\n")
+        monkeypatch.setattr(lie_core, "TENSOR_MAX_BYTES", 8 * 4**4 - 1)
+        with pytest.raises(DimensionError, match="cap"):
+            jacobi_defect(LieAlgebra(dim=4, c=np.zeros((4, 4, 4))))
+        assert jacobi_defect(build_family("rh-line", 3)) == 0.0
+
+
 class TestJacobiDefect:
     def test_abelian(self):
         alg = LieAlgebra(dim=3, c=np.zeros((3, 3, 3)))
