@@ -83,8 +83,10 @@ def riemann(gam: np.ndarray, g: LieAlgebra) -> np.ndarray:
     _refuse_above_cap("the Riemann tensor", n, 4)
     first = gam.reshape(n * n, n) @ gam.transpose(1, 0, 2).reshape(n, n * n)
     first = first.reshape(n, n, n, n).transpose(2, 0, 1, 3)
-    bracket = (g.c.reshape(n * n, n) @ gam.reshape(n, n * n)).reshape(n, n, n, n)
-    return first - first.transpose(1, 0, 2, 3) - bracket
+    R = first - first.transpose(1, 0, 2, 3)
+    del first  # at most two n^4 arrays are alive at once
+    R -= (g.c.reshape(n * n, n) @ gam.reshape(n, n * n)).reshape(n, n, n, n)
+    return R
 
 
 def _ricci_matrix(g: LieAlgebra) -> np.ndarray:

@@ -21,8 +21,8 @@ its closed-form fit reads the same free pattern (``_forbidden_mask``);
 oracle.  The SVD of ``derivation_basis`` serves CUSTOM algebras and the
 CLI ``derivations`` subcommand, and in ``verify`` it is the independent
 oracle that certifies the closed form.
-The Leibniz tensor behind the SVD has n^5 entries, so ``derivation_basis``
-refuses dimensions whose tensor would exceed ``lie_core.TENSOR_MAX_BYTES``.
+The Leibniz matrix behind the SVD, built on the pairs i < j, has n^4(n-1)/2
+entries; ``derivation_basis`` refuses n > 24 (n^5 over ``TENSOR_MAX_BYTES``).
 """
 
 from __future__ import annotations
@@ -68,16 +68,16 @@ def _leibniz_operator(g: LieAlgebra) -> np.ndarray:
     """Matrix of D -> (D[e_i,e_j] - [De_i,e_j] - [e_i,De_j]) over pairs i<j."""
     n = g.dim
     c = g.c
-    eye = np.eye(n)
-    # T[i,j,k,a,b] is the coefficient of D[a,b] in the k-th component of
-    # the pair-(i,j) defect.
-    T = (
-        np.einsum("ijb,ak->ijkab", c, eye)
-        - np.einsum("ib,ajk->ijkab", eye, c)
-        - np.einsum("jb,iak->ijkab", eye, c)
-    )
     iu, ju = np.triu_indices(n, k=1)
-    return T[iu, ju].reshape(len(iu) * n, n * n)
+    pairs = np.arange(len(iu))
+    # L[p, k, a, b] is the coefficient of D[a,b] in the k-th component of
+    # the defect of pair p = (i, j): c[i,j,b] where a = k, minus
+    # c[a,j,k] where b = i and c[i,a,k] where b = j.
+    L = np.zeros((len(iu), n, n, n))
+    L[:, np.arange(n), np.arange(n), :] = c[iu, ju][:, None, :]
+    L[pairs, :, :, iu] -= c[:, ju, :].transpose(1, 2, 0)
+    L[pairs, :, :, ju] -= c[iu].transpose(0, 2, 1)
+    return L.reshape(len(iu) * n, n * n)
 
 
 def derivation_basis(g: LieAlgebra) -> DerivationBasis:
@@ -85,8 +85,8 @@ def derivation_basis(g: LieAlgebra) -> DerivationBasis:
 
     Requires jacobi_defect(g) < 1e-9.  The abelian algebra returns the
     full n^2-dimensional matrix space.  Raises ``DimensionError`` before
-    allocating anything of size n^4 or more when the n^5-entry Leibniz
-    tensor would exceed ``TENSOR_MAX_BYTES``.
+    allocating anything of size n^4 or more when n^5 entries, a bound on
+    the Leibniz matrix, would exceed ``TENSOR_MAX_BYTES``.
     """
     n = g.dim
     _refuse_above_cap("the Leibniz tensor of Der(g) by SVD", n, 5)
@@ -115,8 +115,8 @@ def is_derivation(g: LieAlgebra, D: np.ndarray, tol: float) -> tuple[bool, float
     if D.shape != (n, n):
         raise ShapeError(f"expected a {n}x{n} matrix, got {D.shape}")
     c = g.c
-    lhs = np.einsum("ijm,km->ijk", c, D)
-    rhs = np.einsum("mi,mjk->ijk", D, c) + np.einsum("mj,imk->ijk", D, c)
+    lhs = c.reshape(n * n, n) @ D.T
+    rhs = (D.T @ c.reshape(n, n * n)).reshape(n * n, n) + np.matmul(D.T, c).reshape(n * n, n)
     defect = float(np.max(np.abs(lhs - rhs)))
     return defect <= tol, defect
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .derivations import _forbidden_mask
 from .errors import NotPositiveDefiniteError, ShapeError, UnsupportedFamilyError
-from .lie_core import FAMILIES, LieAlgebra, _freeze, change_basis, milnor_pattern
+from .lie_core import FAMILIES, LieAlgebra, _freeze, _push_lower, change_basis, milnor_pattern
 
 DEFAULT_TOL = 1e-8
 LAMBDA_SNAP = 1e-9
@@ -233,8 +233,8 @@ def validate_aut_element(
     if abs(c_scalar) <= tol * scale:
         return False
     phi = M / c_scalar
-    lhs = np.einsum("ijm,km->ijk", g_alg.c, phi)
-    rhs = np.einsum("mi,lj,mlk->ijk", phi, phi, g_alg.c)
+    lhs = (g_alg.c.reshape(n * n, n) @ phi.T).reshape(n, n, n)
+    rhs = _push_lower(g_alg.c, phi)
     defect = float(np.max(np.abs(lhs - rhs)))
     return defect <= tol * max(1.0, scale)
 

@@ -35,10 +35,10 @@ JACOBI_ATOL = 1e-12
 TENSOR_MAX_BYTES = 1 << 26
 """Largest dense float64 tensor one call builds: 64 MiB, which admits
 n <= 203 for the n^3-entry structure tensor, n <= 53 for the n^4-entry
-Riemann tensor and Jacobi contraction, and n <= 24 for the n^5-entry
-Leibniz tensor of ``derivation_basis`` (24^5 entries take 61 MiB).  The
-Leibniz working set peaks at about twice the tensor: 130 MB above the
-bare interpreter at n = 24."""
+Riemann tensor and Jacobi contraction, and n <= 24 for n^5 entries, the
+bound ``derivation_basis`` puts on its n^4(n-1)/2-entry Leibniz matrix
+(29 MiB at n = 24).  Its SVD sets the peak at n = 24: 128 MB of ru_maxrss,
+63 MiB of it numpy arrays (the matrix and the unused U)."""
 
 
 def _refuse_above_cap(what: str, n: int, rank: int) -> None:
@@ -169,12 +169,14 @@ def jacobi_defect(g: LieAlgebra) -> float:
     before allocating when the n^4-entry contraction would exceed
     ``TENSOR_MAX_BYTES``.
     """
-    c = g.c
-    _refuse_above_cap("the Jacobi contraction", g.dim, 4)
-    # The three terms are one contraction with (i, j, k) cycled.
-    A = np.einsum("jkm,iml->ijkl", c, c)
-    jac = A + A.transpose(2, 0, 1, 3) + A.transpose(1, 2, 0, 3)
-    return float(np.max(np.abs(jac)))
+    n = g.dim
+    _refuse_above_cap("the Jacobi contraction", n, 4)
+    # A[j,k,i,l] = sum_m c[j,k,m] c[i,m,l]; the three terms are A with
+    # (i, j, k) cycled, summed in place so two n^4 arrays are alive at once.
+    A = (g.c.reshape(n * n, n) @ g.c.transpose(1, 0, 2).reshape(n, n * n)).reshape(n, n, n, n)
+    jac = A + A.transpose(1, 2, 0, 3)
+    jac += A.transpose(2, 0, 1, 3)
+    return float(np.max(np.abs(jac, out=jac)))
 
 
 def change_basis(g: LieAlgebra, basis: np.ndarray) -> LieAlgebra:
@@ -186,27 +188,31 @@ def change_basis(g: LieAlgebra, basis: np.ndarray) -> LieAlgebra:
     The family tag degrades to CUSTOM because the canonical relations are
     generally destroyed.
 
-    The contraction is staged: the upper index of c is contracted with
-    P^{-1} first, then each lower index with P, three two-operand steps
-    of O(n^4) each.  A single four-operand contraction costs O(n^6) and,
-    summing the products in a worse order, loses accuracy as well; the
-    staged order keeps the error near cond(P) times machine epsilon.
+    The contraction is staged as three BLAS matrix products of O(n^4)
+    each: the upper index of c with P^{-1}, then both lower indices with
+    P (``_push_lower``).  A single four-operand contraction costs O(n^6)
+    and, summing in a worse order, loses accuracy as well; the staged
+    order keeps the error near cond(P) times machine epsilon.
     """
+    n = g.dim
     P = np.asarray(basis, dtype=float)
-    if P.shape != (g.dim, g.dim):
-        raise ShapeError(f"basis matrix must be {g.dim}x{g.dim}, got {P.shape}")
+    if P.shape != (n, n):
+        raise ShapeError(f"basis matrix must be {n}x{n}, got {P.shape}")
     if not np.all(np.isfinite(P)):
         raise ShapeError("basis matrix must be finite")
     s = np.linalg.svd(P, compute_uv=False)
     if s[-1] <= 1e-12 * s[0]:
         raise SingularMatrixError("basis matrix is singular to working precision")
-    P_inv = np.linalg.inv(P)
-    cp = np.einsum("ijm,km->ijk", g.c, P_inv)
-    cp = np.einsum("ia,ijk->ajk", P, cp)
-    cp = np.einsum("jb,ajk->abk", P, cp)
+    cp = _push_lower((g.c.reshape(n * n, n) @ np.linalg.inv(P).T).reshape(n, n, n), P)
     # kill the antisymmetry drift from floating-point summation order
     cp = 0.5 * (cp - cp.transpose(1, 0, 2))
-    return LieAlgebra(dim=g.dim, c=cp, family_tag=Family.CUSTOM)
+    return LieAlgebra(dim=n, c=cp, family_tag=Family.CUSTOM)
+
+
+def _push_lower(t: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """sum_{i,j} P[i,a] P[j,b] t[i,j,k]: both lower indices of an (n, n, n)
+    tensor through P, as one matrix product and one batched one."""
+    return np.matmul(P.T, (P.T @ t.reshape(len(P), -1)).reshape(t.shape))
 
 
 # --- structure-constants text format -------------------------------------

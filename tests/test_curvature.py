@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from milnor_frames import (
     change_basis,
     closed_form_ricci,
     gram_to_group_element,
+    jacobi_defect,
     jacobi_eigh,
     levi_civita,
     milnor_pattern,
@@ -314,3 +317,20 @@ class TestOneEigenPath:
         calls = self.count_calls(monkeypatch)
         check_block_characteristic_polynomial()
         assert len(calls) > 0
+
+
+@pytest.mark.parametrize("which", ["riemann", "jacobi_defect"])
+def test_at_most_two_quartic_arrays_alive(which):
+    # riemann returns one n^4 array and builds one more; jacobi_defect
+    # builds two; 0.2 n^4 entries of slack cover the n^3 temporaries
+    n = 40
+    alg = random_frame_algebra(n, family="rh-line", n=n)
+    gam = levi_civita(alg)
+    call = (lambda: riemann(gam, alg)) if which == "riemann" else (lambda: jacobi_defect(alg))
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * 8 * n**4

@@ -11,9 +11,10 @@ from milnor_frames import (
     conjugated_derivation_basis,
     derivation_basis,
     is_derivation,
+    parse_structure_constants,
     pattern_check,
 )
-from milnor_frames.derivations import _forbidden_mask, family_derivation_basis
+from milnor_frames.derivations import _forbidden_mask, _leibniz_operator, family_derivation_basis
 from milnor_frames.frame_reduction import validate_aut_element
 
 
@@ -56,8 +57,6 @@ def test_dim2_keeps_every_null_vector(alg, want):
 
 
 def test_rotation_algebra_has_only_inner_derivations():
-    from milnor_frames import parse_structure_constants
-
     so3 = parse_structure_constants("3\n1 2 3 1.0\n2 3 1 1.0\n1 3 2 -1.0\n")
     assert derivation_basis(so3).dim == 3
 
@@ -248,6 +247,38 @@ def test_conjugation_matches_derivations_of_moved_algebra(family):
     assert np.max(np.abs(proj_conj - proj_moved)) < 1e-8
 
 
+# --- the Leibniz matrix against the n^5 tensor gather it replaced --------
+
+
+def _leibniz_by_gather(g):
+    n, c = g.dim, g.c
+    eye = np.eye(n)
+    T = (
+        np.einsum("ijb,ak->ijkab", c, eye)
+        - np.einsum("ib,ajk->ijkab", eye, c)
+        - np.einsum("jb,iak->ijkab", eye, c)
+    )
+    iu, ju = np.triu_indices(n, k=1)
+    return T[iu, ju].reshape(len(iu) * n, n * n)
+
+
+def _leibniz_cases():
+    so3 = parse_structure_constants("3\n1 2 3 1.0\n2 3 1 1.0\n1 3 2 -1.0\n")
+    cases = [("aff1", _aff1()), ("so3", so3)]
+    cases += [(f"{f}-{n}", build_family(f, n)) for f in ("rh2+abelian", "rh-line") for n in (3, 5, 8)]
+    rng = np.random.default_rng(7)
+    pushed = []
+    for name, alg in cases:
+        P = rng.uniform(-1.0, 1.0, size=(alg.dim, alg.dim)) + 2.0 * np.eye(alg.dim)
+        pushed.append((f"pushed-{name}", change_basis(alg, P)))
+    return [pytest.param(alg, id=name) for name, alg in cases + pushed]
+
+
+@pytest.mark.parametrize("alg", _leibniz_cases())
+def test_leibniz_operator_equals_the_tensor_gather(alg):
+    assert np.array_equal(_leibniz_operator(alg), _leibniz_by_gather(alg))
+
+
 # --- whole-tensor defects against the i < j gather they replaced ---------
 
 
@@ -292,7 +323,10 @@ class TestWholeTensorDefects:
         mats = [P_inv @ D @ P for D in family_derivation_basis(n).mats]
         mats += [rng.normal(size=(n, n)) for _ in range(5)]
         for D in mats:
-            assert is_derivation(alg, D, tol=1e-8)[1] == _leibniz_defect_by_pairs(alg, D)
+            # rounding bound of an n-term sum: BLAS orders the sums differently
+            bound = 8 * n * np.finfo(float).eps * np.max(np.abs(alg.c)) * np.max(np.abs(D))
+            got = is_derivation(alg, D, tol=1e-8)[1]
+            assert abs(got - _leibniz_defect_by_pairs(alg, D)) <= bound
 
     def test_validate_aut_element_matches_the_pair_gather(self, family, n):
         rng, _, pushed = _pushed(family, n)

@@ -217,10 +217,37 @@ class TestJacobiDefect:
                 + np.einsum("kim,jml->ijkl", c, c)
                 + np.einsum("ijm,kml->ijkl", c, c)
             )
-            assert jacobi_defect(LieAlgebra(dim=n, c=c)) == float(np.max(np.abs(jac)))
+            # rounding bound of an n-term sum: BLAS orders the sums differently
+            bound = 8 * n * np.finfo(float).eps * np.max(np.abs(c)) ** 2
+            got = jacobi_defect(LieAlgebra(dim=n, c=c))
+            assert abs(got - float(np.max(np.abs(jac)))) <= bound
+
+
+def _change_basis_by_einsum(c, P):
+    # the staged einsum contraction that the BLAS products replaced
+    cp = np.einsum("ijm,km->ijk", c, np.linalg.inv(P))
+    cp = np.einsum("ia,ijk->ajk", P, cp)
+    cp = np.einsum("jb,ajk->abk", P, cp)
+    return 0.5 * (cp - cp.transpose(1, 0, 2))
 
 
 class TestChangeBasis:
+    @pytest.mark.parametrize("n", [3, 5, 8, 12])
+    def test_matches_the_staged_einsum(self, n):
+        rng = np.random.default_rng(100 + n)
+        c = rng.standard_normal((n, n, n))
+        algs = [build_family(f, n) for f in ("rh2+abelian", "rh-line")]
+        algs.append(LieAlgebra(dim=n, c=c - c.transpose(1, 0, 2)))
+        for alg in algs:
+            for top in (1.0, 10.0, 1e3):
+                # P = Q1 diag(s) Q2 with cond(P) = top
+                q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                P = q1 @ np.diag(np.geomspace(1.0, top, n)) @ q2
+                ref = _change_basis_by_einsum(alg.c, P)
+                got = change_basis(alg, P).c
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_identity(self):
         alg = build_family("rh-line", 4)
         moved = change_basis(alg, np.eye(4))
