@@ -2,10 +2,12 @@
 
 A derivation is a linear map D with D[x, y] = [Dx, y] + [x, Dy].  The
 defect of that identity over all basis pairs is a linear function of D,
-so Der(g) is the null space of a fixed matrix; we extract it with an
-SVD and keep the right singular vectors whose singular values fall
-below 1e-9 times the largest one.  The resulting basis matrices are
-orthonormal in the Frobenius inner product.
+so Der(g) is the null space of a fixed matrix L.  L = QR has the same
+right singular vectors as its triangular factor R (Chan's R-SVD), so we
+take R alone by QR, then the SVD of R, and keep the right singular
+vectors whose singular values fall below 1e-9 times the largest one;
+neither Q nor L's left singular vectors are formed.  The resulting basis
+matrices are orthonormal in the Frobenius inner product.
 
 For the two built-in families the answer has a rigid shape: the first
 row vanishes, row 2 is supported on columns 1..2, column 2 vanishes
@@ -18,11 +20,12 @@ Which path serves whom: ``classify_metric`` needs no basis at all, since
 its closed-form fit reads the same free pattern (``_forbidden_mask``);
 ``family_derivation_basis`` and ``conjugated_derivation_basis`` serve
 ``pattern_check`` and the dense ``solvsoliton_solve`` that is the fit's
-oracle.  The SVD of ``derivation_basis`` serves CUSTOM algebras and the
-CLI ``derivations`` subcommand, and in ``verify`` it is the independent
-oracle that certifies the closed form.
-The Leibniz matrix behind the SVD, built on the pairs i < j, has n^4(n-1)/2
-entries; ``derivation_basis`` refuses n > 24 (n^5 over ``TENSOR_MAX_BYTES``).
+oracle.  The null space of ``derivation_basis`` serves CUSTOM algebras
+and the CLI ``derivations`` subcommand, and in ``verify`` it is the
+independent oracle that certifies the closed form.
+The Leibniz matrix L, built on the pairs i < j, has n^4(n-1)/2 entries;
+its R factor is n^2 x n^2 for n >= 3.  ``derivation_basis`` refuses
+n > 24 (n^5 over ``TENSOR_MAX_BYTES``).
 """
 
 from __future__ import annotations
@@ -83,20 +86,19 @@ def _leibniz_operator(g: LieAlgebra) -> np.ndarray:
 def derivation_basis(g: LieAlgebra) -> DerivationBasis:
     """Compute an orthonormal basis of Der(g).
 
-    Requires jacobi_defect(g) < 1e-9.  The abelian algebra returns the
-    full n^2-dimensional matrix space.  Raises ``DimensionError`` before
-    allocating anything of size n^4 or more when n^5 entries, a bound on
-    the Leibniz matrix, would exceed ``TENSOR_MAX_BYTES``.
+    One QR of the Leibniz matrix L, keeping only R, then the SVD of R:
+    for n >= 3, R is n^2 x n^2; for n = 2 it is 2 x 4, and the full V^T
+    keeps every null vector.  Requires jacobi_defect(g) < 1e-9.  The
+    abelian algebra returns the full n^2-dimensional matrix space.
+    Raises ``DimensionError`` before allocating anything of size n^4 or
+    more when n^5 entries, a bound on L, would exceed ``TENSOR_MAX_BYTES``.
     """
     n = g.dim
     _refuse_above_cap("the Leibniz tensor of Der(g) by SVD", n, 5)
     defect = jacobi_defect(g)
     if defect >= 1e-9:
         raise ValueError(f"not a Lie algebra (Jacobi defect {defect:g})")
-    L = _leibniz_operator(g)
-    # For n >= 3, L has more rows than columns and the thin V^T already
-    # spans the null space; only n = 2 needs the full square V^T.
-    _, s, vt = np.linalg.svd(L, full_matrices=L.shape[0] < L.shape[1])
+    _, s, vt = np.linalg.svd(np.linalg.qr(_leibniz_operator(g), mode="r"))
     smax = s[0] if s.size and s[0] > 0 else 1.0
     rank = int(np.sum(s >= NULLSPACE_RTOL * smax))
     mats = vt[rank:].reshape(-1, n, n)

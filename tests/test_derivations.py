@@ -48,8 +48,8 @@ def _aff1():
     ids=["abelian-2", "aff1"],
 )
 def test_dim2_keeps_every_null_vector(alg, want):
-    # n = 2 is the one size whose Leibniz matrix is wider than tall, so
-    # part of the null space lies outside the thin SVD's V^T.
+    # n = 2 is the one size whose Leibniz matrix is wider than tall: its R
+    # factor is 2 x 4, so part of the null space lies outside a thin V^T.
     basis = derivation_basis(alg)
     assert basis.dim == want
     for D in basis.mats:
@@ -277,6 +277,62 @@ def _leibniz_cases():
 @pytest.mark.parametrize("alg", _leibniz_cases())
 def test_leibniz_operator_equals_the_tensor_gather(alg):
     assert np.array_equal(_leibniz_operator(alg), _leibniz_by_gather(alg))
+
+
+# --- the null space from R against the SVD of the whole Leibniz matrix ---
+
+
+def _null_space_by_svd_of_l(g):
+    """Reference: the SVD of L itself, thin except at n = 2 (L is 2 x 4)."""
+    L = _leibniz_operator(g)
+    _, s, vt = np.linalg.svd(L, full_matrices=L.shape[0] < L.shape[1])
+    rank = int(np.sum(s >= 1e-9 * s[0])) if s.size and s[0] > 0 else 0
+    return vt[rank:]
+
+
+def _well_conditioned_basis(rng, n):
+    while True:
+        P = rng.uniform(-1.0, 1.0, size=(n, n))
+        if np.linalg.cond(P) <= 1e3:
+            return P
+
+
+def _null_space_cases():
+    so3 = parse_structure_constants("3\n1 2 3 1.0\n2 3 1 1.0\n1 3 2 -1.0\n")
+    cases = [("so3", so3), ("aff1", _aff1()), ("abelian-3", LieAlgebra(dim=3, c=np.zeros((3, 3, 3))))]
+    cases += [(f"{f}-{n}", build_family(f, n)) for f in ("rh2+abelian", "rh-line") for n in (3, 4, 5, 8, 12)]
+    rng = np.random.default_rng(13)
+    pushed = [(f"pushed-{name}", change_basis(alg, _well_conditioned_basis(rng, alg.dim))) for name, alg in cases]
+    return [pytest.param(alg, id=name) for name, alg in cases + pushed]
+
+
+@pytest.mark.parametrize("alg", _null_space_cases())
+def test_null_space_from_r_spans_the_svd_of_l(alg):
+    # same span, not the same vectors: at n = 3, 4 LAPACK's SVD of L
+    # skips its own QR, so the basis may come out rotated
+    ref = _null_space_by_svd_of_l(alg)
+    basis = derivation_basis(alg)
+    flat = basis.mats.reshape(basis.dim, -1)
+    assert basis.dim == ref.shape[0]
+    assert np.max(np.abs(flat.T @ flat - ref.T @ ref)) <= 1e-12
+    assert np.max(np.abs(flat @ flat.T - np.eye(basis.dim))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 12])
+def test_svd_runs_on_the_square_r_factor(monkeypatch, n):
+    # an SVD of the Leibniz matrix itself, tall for n >= 4, would also form
+    # its unused U
+    alg = change_basis(build_family("rh-line", n), _well_conditioned_basis(np.random.default_rng(n), n))
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    derivation_basis(alg)
+    assert shapes == [(n * n, n * n)]
 
 
 # --- whole-tensor defects against the i < j gather they replaced ---------
