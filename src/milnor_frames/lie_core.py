@@ -12,6 +12,13 @@ Two families are built in:
 
 Every value is immutable after construction and every function here is
 pure, so the module is safe to use from multiple threads.
+
+Constants from outside the package (``LieAlgebra(...)``,
+:func:`parse_structure_constants`) are fully validated: shape, finiteness
+and antisymmetry.  Constants the package computes itself
+(:func:`build_family`, :func:`milnor_pattern`, :func:`change_basis`) are
+antisymmetric by construction and are only checked for finiteness, so an
+overflowing basis change still raises ``ShapeError``.
 """
 
 from __future__ import annotations
@@ -75,7 +82,10 @@ class LieAlgebra:
     """Immutable structure-constant tensor plus a family tag.
 
     ``c[i, j, k]`` is the coefficient of ``e_k`` in ``[e_i, e_j]``
-    (0-based here, 1-based in rendered output).
+    (0-based here, 1-based in rendered output).  The constructor checks
+    dim >= 2, the (dim, dim, dim) shape, finiteness and antisymmetry, and
+    stores a read-only copy.  The package's own producers go through
+    ``_computed``, which checks finiteness only.
     """
 
     dim: int
@@ -97,6 +107,19 @@ class LieAlgebra:
         if skew > ANTISYMMETRY_ATOL * scale:
             raise ShapeError(f"structure constants not antisymmetric (defect {skew:g})")
         object.__setattr__(self, "c", _freeze(c))
+
+    @classmethod
+    def _computed(cls, c: np.ndarray, family_tag: Family = Family.CUSTOM) -> LieAlgebra:
+        """Wrap an exactly antisymmetric float (n, n, n) array that the
+        package just computed and no one else holds; it becomes read-only."""
+        if not np.isfinite(c).all():
+            raise ShapeError("structure constants must be finite")
+        c.setflags(write=False)
+        g = object.__new__(cls)
+        object.__setattr__(g, "dim", len(c))
+        object.__setattr__(g, "c", c)
+        object.__setattr__(g, "family_tag", family_tag)
+        return g
 
 
 def _checked_family(family_tag: Family | str, n: int, lam: float = 0.0) -> Family:
@@ -133,7 +156,7 @@ def build_family(family_tag: Family | str, n: int) -> LieAlgebra:
     ``rh-line`` has [e_1, e_i] = e_i for i = 3..n.  Requires n >= 3.
     """
     family = _checked_family(family_tag, n)
-    return LieAlgebra(dim=n, c=_canonical_constants(family, n), family_tag=family)
+    return LieAlgebra._computed(_canonical_constants(family, n), family)
 
 
 def milnor_pattern(family_tag: Family | str, n: int, lam: float) -> LieAlgebra:
@@ -150,7 +173,7 @@ def milnor_pattern(family_tag: Family | str, n: int, lam: float) -> LieAlgebra:
     coupling = lam if family is Family.RH2_SUM_ABELIAN else -lam
     c[0, 1, n - 1] += coupling
     c[1, 0, n - 1] -= coupling
-    return LieAlgebra(dim=n, c=c, family_tag=Family.CUSTOM)
+    return LieAlgebra._computed(c)
 
 
 def bracket(g: LieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -205,9 +228,9 @@ def change_basis(g: LieAlgebra, basis: np.ndarray) -> LieAlgebra:
     if s[-1] <= 1e-12 * s[0]:
         raise SingularMatrixError("basis matrix is singular to working precision")
     cp = _push_lower((g.c.reshape(n * n, n) @ np.linalg.inv(P).T).reshape(n, n, n), P)
-    # kill the antisymmetry drift from floating-point summation order
-    cp = 0.5 * (cp - cp.transpose(1, 0, 2))
-    return LieAlgebra(dim=n, c=cp, family_tag=Family.CUSTOM)
+    # Kill the antisymmetry drift from floating-point summation order.  The
+    # result is exactly antisymmetric: 0.5*(a-b) is the negation of 0.5*(b-a).
+    return LieAlgebra._computed(0.5 * (cp - cp.transpose(1, 0, 2)))
 
 
 def _push_lower(t: np.ndarray, P: np.ndarray) -> np.ndarray:

@@ -92,6 +92,53 @@ class TestBuildFamily:
         with pytest.raises(ShapeError):
             LieAlgebra(dim=3, c=c)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 3, 4), (4, 4, 4)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ShapeError, match="structure tensor must be"):
+            LieAlgebra(dim=3, c=np.zeros(shape))
+
+
+def _pushed(family, n, seed):
+    rng = np.random.default_rng(seed)
+    return change_basis(build_family(family, n), rng.normal(size=(n, n)) + 3.0 * np.eye(n))
+
+
+class TestComputedConstants:
+    """The package's own producers skip the antisymmetry and shape checks;
+    their output must satisfy them anyway, exactly."""
+
+    @pytest.mark.parametrize(
+        "make, tag",
+        [
+            pytest.param(build_family, None, id="build_family"),
+            *[
+                pytest.param(lambda f, n, lam=lam: milnor_pattern(f, n, lam), Family.CUSTOM, id=f"milnor_pattern-{lam:g}")
+                for lam in (0.0, 1e-3, 1.0, 1e3)
+            ],
+            *[
+                pytest.param(lambda f, n, s=s: _pushed(f, n, s), Family.CUSTOM, id=f"change_basis-{s}")
+                for s in (0, 1, 2)
+            ],
+        ],
+    )
+    @pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_producers_emit_exactly_antisymmetric_read_only_constants(self, make, tag, family, n):
+        alg = make(family, n)
+        assert alg.dim == n and alg.c.shape == (n, n, n) and alg.c.dtype == np.float64
+        assert np.isfinite(alg.c).all()
+        assert not alg.c.flags.writeable
+        assert np.array_equal(alg.c, -alg.c.transpose(1, 0, 2))
+        assert alg.family_tag is (Family(family) if tag is None else tag)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_overflowing_basis_change_still_raises(self):
+        c = np.zeros((3, 3, 3))
+        c[0, 1, 2] = 1e300
+        c[1, 0, 2] = -1e300
+        with pytest.raises(ShapeError, match="finite"):
+            change_basis(LieAlgebra(dim=3, c=c), 1e10 * np.eye(3))
+
 
 class TestBracket:
     def test_canonical_relation(self):
