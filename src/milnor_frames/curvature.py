@@ -29,7 +29,9 @@ the signature from them; the public ``signature`` runs through it too.
 ``jacobi_eigh`` steps by name because ``perfbench`` traces them as its
 layers, until the benchmark re-defines those layers (ROADMAP item 1,
 step 1); ``riemann`` refuses dimensions whose n^4-entry tensor would
-exceed ``TENSOR_MAX_BYTES``.
+exceed ``TENSOR_MAX_BYTES``, and that tensor is the only array it
+allocates that grows as n^4: the other terms go through a buffer of
+128 KiB or one n^3-entry slab.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ from .frame_reduction import gram_to_group_element
 from .lie_core import Family, LieAlgebra, _checked_family, _freeze, _refuse_above_cap, change_basis
 
 SIGNATURE_TOL = 1e-8
+_SLAB_ENTRIES = 1 << 14
+"""Entries (128 KiB) of ``riemann``'s slab buffer.  n <= 8 takes all its
+slabs in one product, n = 12 in two, n = 16 in four; one product per
+slab would cost 30-60 us more per call at n = 4-12 in call overhead."""
 
 
 @dataclass(frozen=True)
@@ -74,18 +80,30 @@ def riemann(gam: np.ndarray, g: LieAlgebra) -> np.ndarray:
     connection coefficients ``gam = levi_civita(g)``.
 
     R[i,j,k,l] = sum_m gamma[j,k,m] gamma[i,m,l] - (i <-> j)
-    - c[i,j,m] gamma[m,k,l]; the two sums over m are matrix products of
-    reshaped (n^2, n) and (n, n^2) tables.  Raises ``DimensionError``
+    - c[i,j,m] gamma[m,k,l].  The output R is the only array that grows
+    as n^4: the c-term is written into it by one (n^2, n) x (n, n^2)
+    product, and the two gamma-gamma terms are added slab by slab,
+    T[s,j,k,l] = sum_m gamma[j,k,m] gamma[s,m,l] going into R[s] and out
+    of R[:, s].  The slabs are computed a few s at a time, as one batched
+    product into a reused buffer of at most ``_SLAB_ENTRIES`` entries, or
+    of one n^3-entry slab where that is larger.  Raises ``DimensionError``
     before allocating when an n^4-entry array would exceed
     ``TENSOR_MAX_BYTES``.
     """
     n = gam.shape[0]
     _refuse_above_cap("the Riemann tensor", n, 4)
-    first = gam.reshape(n * n, n) @ gam.transpose(1, 0, 2).reshape(n, n * n)
-    first = first.reshape(n, n, n, n).transpose(2, 0, 1, 3)
-    R = first - first.transpose(1, 0, 2, 3)
-    del first  # at most two n^4 arrays are alive at once
-    R -= (g.c.reshape(n * n, n) @ gam.reshape(n, n * n)).reshape(n, n, n, n)
+    R = np.empty((n, n, n, n))
+    np.matmul(-g.c.reshape(n * n, n), gam.reshape(n, n * n), out=R.reshape(n * n, n * n))
+    gam2 = gam.reshape(n * n, n)
+    R_swapped = R.transpose(1, 0, 2, 3)
+    b = max(1, _SLAB_ENTRIES // n**3)
+    buf = np.empty((min(b, n), n * n, n))
+    for s in range(0, n, b):
+        T = buf[: min(b, n - s)]
+        np.matmul(gam2, gam[s : s + b], out=T)
+        T = T.reshape(-1, n, n, n)
+        R[s : s + b] += T
+        R_swapped[s : s + b] -= T
     return R
 
 

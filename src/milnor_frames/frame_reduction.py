@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivations import _forbidden_mask
+from .eigensolve import spd_condition_number
 from .errors import NotPositiveDefiniteError, ShapeError, UnsupportedFamilyError
 from .lie_core import FAMILIES, LieAlgebra, _freeze, _push_lower, change_basis, milnor_pattern
 
@@ -165,7 +166,7 @@ def reduce(g_alg: LieAlgebra, G: np.ndarray) -> MilnorFrame:
     if G.shape[0] != n:
         raise ShapeError(f"Gram matrix is {G.shape[0]}x{G.shape[0]}, algebra has dim {n}")
 
-    cond = float(np.linalg.cond(G))
+    cond = spd_condition_number(G)
 
     # Both columns: a one-column solve rounds v_2, and so λ, differently.
     V = np.linalg.solve(g[2:, 2:], g[2:, :2])

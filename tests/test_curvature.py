@@ -133,7 +133,8 @@ class TestRiemann:
         assert riemann(levi_civita(alg), alg).shape == (3, 3, 3, 3)
 
     @pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
-    @pytest.mark.parametrize("n", [3, 5, 8, 16])
+    # n = 12 ends on a partial batch of slabs (9 + 3)
+    @pytest.mark.parametrize("n", [3, 5, 8, 12, 16])
     def test_matches_reference_einsum(self, family, n):
         alg = random_frame_algebra(n, family=family, n=n)
         gam = levi_civita(alg)
@@ -319,10 +320,19 @@ class TestOneEigenPath:
         assert len(calls) > 0
 
 
-@pytest.mark.parametrize("which", ["riemann", "jacobi_defect"])
-def test_at_most_two_quartic_arrays_alive(which):
-    # riemann returns one n^4 array and builds one more; jacobi_defect
-    # builds two; 0.2 n^4 entries of slack cover the n^3 temporaries
+@pytest.mark.parametrize(
+    "which, bound",
+    [
+        # riemann's only n^4 array is its output; the negated c and the
+        # one-slab buffer add 2 n^3 entries, 0.05 n^4 at n = 40
+        ("riemann", 1.2),
+        # jacobi_defect builds two n^4 arrays; 0.2 n^4 entries of slack
+        # cover the n^3 temporaries
+        ("jacobi_defect", 2.2),
+    ],
+    ids=["riemann", "jacobi_defect"],
+)
+def test_at_most_two_quartic_arrays_alive(which, bound):
     n = 40
     alg = random_frame_algebra(n, family="rh-line", n=n)
     gam = levi_civita(alg)
@@ -333,4 +343,4 @@ def test_at_most_two_quartic_arrays_alive(which):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * 8 * n**4
+    assert peak <= bound * 8 * n**4

@@ -171,10 +171,27 @@ class TestReduce:
         with pytest.raises(UnsupportedFamilyError):
             reduce(alg, np.eye(3))
 
-    def test_conditioning_warning(self):
+    @pytest.mark.parametrize("top, seed", [(1e13, None), (1e13, 0), (1e15, 1)])
+    def test_conditioning_warning(self, top, seed):
+        # seed: the spectrum (1, 1, top) in a random orthonormal frame
         alg = build_family("rh2+abelian", 3)
-        fr = reduce(alg, np.diag([1.0, 1.0, 1e13]))
-        assert fr.residuals.conditioning_warning
+        q = np.eye(3) if seed is None else np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))[0]
+        G = q @ np.diag([1.0, 1.0, top]) @ q.T
+        res = reduce(alg, 0.5 * (G + G.T)).residuals
+        assert res.conditioning_warning
+        assert res.condition_number == pytest.approx(top, rel=0.5)
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_condition_number_matches_svd(self, n):
+        # w_max / w_min of the Gram spectrum is the 2-norm condition number
+        for family in ("rh2+abelian", "rh-line"):
+            alg = build_family(family, n)
+            for seed in range(5):
+                G = sample_metric(RandomMetricSpec(seed=100 * n + seed), n)
+                res = reduce(alg, G).residuals
+                want = np.linalg.cond(G)
+                assert abs(res.condition_number - want) <= 1e-9 * want
+                assert not res.conditioning_warning
 
     def test_dimension_mismatch(self):
         alg = build_family("rh2+abelian", 4)
