@@ -41,7 +41,9 @@ import numpy as np
 from .derivations import _forbidden_mask
 from .eigensolve import spd_condition_number
 from .errors import NotPositiveDefiniteError, ShapeError, UnsupportedFamilyError
-from .lie_core import FAMILIES, LieAlgebra, _freeze, _push_lower, change_basis, milnor_pattern
+from .lie_core import (
+    FAMILIES, SINGULAR_RTOL, LieAlgebra, _freeze, _push_lower, change_basis, milnor_pattern,
+)
 
 DEFAULT_TOL = 1e-8
 LAMBDA_SNAP = 1e-9
@@ -211,33 +213,31 @@ def orbit_parameter_equal(
     return abs(lam1 - lam2) <= tol
 
 
-def validate_aut_element(
-    g_alg: LieAlgebra, M: np.ndarray, tol: float = DEFAULT_TOL
-) -> bool:
+def validate_aut_element(g_alg: LieAlgebra, M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Check membership of M in the scaled automorphism pattern group.
 
-    True iff M vanishes where Der(g) does except at (1,1), since the
-    scaled automorphisms have Lie algebra R I + Der(g), and, after
-    dividing out the scalar c = M[1][1], satisfies the automorphism
-    equation phi[x, y] = [phi x, phi y] within tol, over all basis pairs.
+    With φ = M / M[1][1]: True iff φ vanishes where Der(g) does except at
+    (1,1), since the scaled automorphisms have Lie algebra R I + Der(g),
+    satisfies φ[x, y] = [φ x, φ y] over all basis pairs, and is invertible
+    (the singular-value test of ``change_basis``).  Zero entries and the
+    equation defect are held to one bound, tol max|φ|, which φ_11 = 1 must
+    exceed, so s M gets the verdict of M for every scalar s != 0.
     """
     M = np.asarray(M, dtype=float)
     n = g_alg.dim
     if M.shape != (n, n):
         raise ShapeError(f"expected a {n}x{n} matrix, got {M.shape}")
-    scale = float(np.max(np.abs(M))) or 1.0
+    if M[0, 0] == 0.0:
+        return False
+    phi = M / M[0, 0]
     zero_positions = _forbidden_mask(n)
     zero_positions[0, 0] = False
-    if np.max(np.abs(M[zero_positions])) > tol * scale:
+    eq = (g_alg.c.reshape(n * n, n) @ phi.T).reshape(n, n, n) - _push_lower(g_alg.c, phi)
+    defect = max(np.max(np.abs(phi[zero_positions])), np.max(np.abs(eq)))
+    if not float(defect) <= tol * float(np.max(np.abs(phi))) < 1.0:
         return False
-    c_scalar = M[0, 0]
-    if abs(c_scalar) <= tol * scale:
-        return False
-    phi = M / c_scalar
-    lhs = (g_alg.c.reshape(n * n, n) @ phi.T).reshape(n, n, n)
-    rhs = _push_lower(g_alg.c, phi)
-    defect = float(np.max(np.abs(lhs - rhs)))
-    return defect <= tol * max(1.0, scale)
+    s = np.linalg.svd(phi, compute_uv=False)
+    return bool(s[-1] > SINGULAR_RTOL * s[0])
 
 
 # --- Gram matrix text format: n lines of n space-separated decimals ------

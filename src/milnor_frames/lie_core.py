@@ -38,6 +38,7 @@ from .errors import (
 # Constructed families have exact constants; this is an absolute gate.
 ANTISYMMETRY_ATOL = 1e-12
 JACOBI_ATOL = 1e-12
+SINGULAR_RTOL = 1e-12  # relative: a matrix is singular when s_min <= SINGULAR_RTOL * s_max
 
 TENSOR_MAX_BYTES = 1 << 26
 """Largest dense float64 tensor one call builds: 64 MiB, which admits
@@ -225,7 +226,7 @@ def change_basis(g: LieAlgebra, basis: np.ndarray) -> LieAlgebra:
     if not np.all(np.isfinite(P)):
         raise ShapeError("basis matrix must be finite")
     s = np.linalg.svd(P, compute_uv=False)
-    if s[-1] <= 1e-12 * s[0]:
+    if s[-1] <= SINGULAR_RTOL * s[0]:
         raise SingularMatrixError("basis matrix is singular to working precision")
     cp = _push_lower((g.c.reshape(n * n, n) @ np.linalg.inv(P).T).reshape(n, n, n), P)
     # Kill the antisymmetry drift from floating-point summation order.  The

@@ -163,6 +163,22 @@ class TestPatternCheck:
         with pytest.raises(UnsupportedFamilyError):
             pattern_check(alg, derivation_basis(alg))
 
+    @pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_any_spanning_set_matches(self, family, n):
+        # the verdict depends on the span alone, not on an orthonormal basis
+        alg = build_family(family, n)
+        b = family_derivation_basis(n).mats
+        R = np.random.default_rng(n).normal(size=(len(b), len(b)))
+        for mats in (2.0 * b, np.einsum("ij,jpq->ipq", R, b), np.concatenate([b, b])):
+            assert pattern_check(alg, DerivationBasis(mats=mats))
+        # a mix of fewer directions than the free space still fails
+        R[-1] = R[0]
+        assert not pattern_check(alg, DerivationBasis(mats=np.einsum("ij,jpq->ipq", R, b)))
+        # and so does a forbidden direction, at any scale
+        bad = np.concatenate([b, E(n, 0, 0)[None, :, :]])
+        assert not any(pattern_check(alg, DerivationBasis(mats=s * bad)) for s in (1e-9, 1.0, 1e9))
+
 
 class TestConjugation:
     def test_lambda_zero_keeps_span(self):
@@ -383,6 +399,18 @@ class TestWholeTensorDefects:
             bound = 8 * n * np.finfo(float).eps * np.max(np.abs(alg.c)) * np.max(np.abs(D))
             got = is_derivation(alg, D, tol=1e-8)[1]
             assert abs(got - _leibniz_defect_by_pairs(alg, D)) <= bound
+
+    def test_validate_aut_element_ignores_the_scalar(self, family, n):
+        rng, _, pushed = _pushed(family, n)
+        free = ~_forbidden_mask(n)
+        cands = [np.eye(n) + 0.5 * D for D in family_derivation_basis(n).mats]
+        cands += [np.eye(n) + 0.3 * rng.normal(size=(n, n)) * free for _ in range(5)]
+        scales = (1e-3, 1.0, 1e3, 1e6)
+        for alg in (build_family(family, n), pushed):
+            for M in cands:
+                for tol in (1e-10, 1e-4, 0.1):
+                    verdicts = {validate_aut_element(alg, s * M, tol=tol) for s in scales}
+                    assert len(verdicts) == 1, (tol, verdicts)
 
     def test_validate_aut_element_matches_the_pair_gather(self, family, n):
         rng, _, pushed = _pushed(family, n)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from milnor_frames import (
@@ -21,6 +21,7 @@ from milnor_frames import (
     validate_aut_element,
     validate_gram,
 )
+from milnor_frames.derivations import _forbidden_mask
 from milnor_frames.frame_reduction import _rotation_onto_last_axis, format_gram
 
 
@@ -347,6 +348,33 @@ class TestValidateAutElement:
         M = np.diag([1.0, 1.0, 2.0])  # zero pattern holds, bracket broken
         assert not validate_aut_element(alg, M, tol=1e-8)
         assert validate_aut_element(alg, np.eye(3), tol=1e-10)
+
+    @pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_singular_pattern_matrix_fails(self, family, n):
+        # both solve the endomorphism equation, neither is invertible
+        alg = build_family(family, n)
+        assert not validate_aut_element(alg, np.diag([1.0] + [0.0] * (n - 1)), tol=1e-8)
+        assert not validate_aut_element(alg, np.diag([1.0, 0.0] + [1.0] * (n - 2)), tol=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(["rh2+abelian", "rh-line"]),
+        n=st.integers(3, 6),
+        tol=st.sampled_from([1e-10, 1e-6, 1e-3, 0.1]),
+    )
+    @example(seed=4, family="rh-line", n=4, tol=1e-3)
+    def test_verdict_ignores_the_scalar(self, seed, family, n, tol):
+        rng = np.random.default_rng(seed)
+        P = rng.uniform(-1.0, 1.0, size=(n, n)) + 2.0 * np.eye(n)
+        alg = build_family(family, n)
+        pushed = change_basis(alg, P)
+        M = np.eye(n) + 0.3 * rng.normal(size=(n, n)) * ~_forbidden_mask(n)
+        psi = pattern_automorphism(rng, n)
+        scales = (1e-3, 1.0, 1e3, 1e6)
+        assert len({validate_aut_element(pushed, s * M, tol=tol) for s in scales}) == 1
+        assert all(validate_aut_element(alg, s * psi, tol=max(tol, 1e-8)) for s in scales)
 
 
 class TestGramTextFormat:
