@@ -9,7 +9,7 @@ signature-sweep, verify-paper.  Families are selected with
 Exit codes: 0 success, 1 validation error (bad flags, unreadable or
 malformed input, a non-finite --lambda or --tol, a negative --samples,
 dimension mismatch or out of range, failed verification), 2 numerical
-failure.  ``--tol`` falls back to the MILNOR_TOL environment variable,
+failure.  Except in verify-paper, ``--tol`` falls back to MILNOR_TOL,
 then to 1e-8.  JSON output is schema stable: keys are sorted and
 re-emitting a parsed report reproduces it byte for byte.
 """
@@ -77,8 +77,8 @@ def build_parser() -> _Parser:
 
 
 def _tol(args: argparse.Namespace) -> float:
-    """--tol, else MILNOR_TOL, else DEFAULT_TOL; verify-paper has no --tol."""
-    tol = getattr(args, "tol", None)
+    """--tol, else MILNOR_TOL, else DEFAULT_TOL."""
+    tol = args.tol
     if tol is None:
         tol = float(os.environ.get("MILNOR_TOL", DEFAULT_TOL))
     if not 0.0 < tol < np.inf:
@@ -248,10 +248,11 @@ _DISPATCH = {
 def run(args: argparse.Namespace) -> tuple[int, str]:
     """Dispatch the namespace ``build_parser().parse_args`` returns.
 
-    ``args.tol`` is resolved and checked first, for every subcommand;
-    returns (exit code, report text).
+    ``args.tol`` is resolved and checked first, for every subcommand
+    that defines ``--tol``; returns (exit code, report text).
     """
-    args.tol = _tol(args)
+    if hasattr(args, "tol"):
+        args.tol = _tol(args)
     return _DISPATCH[args.subcommand](args)
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, UnsupportedFamilyError
-from .lie_core import Family, LieAlgebra, _freeze, _refuse_above_cap, jacobi_defect
+from .lie_core import Family, LieAlgebra, _freeze, _jacobi_holds, _refuse_above_cap, jacobi_defect
 
 NULLSPACE_RTOL = 1e-9
 PATTERN_TOL = 1e-8
@@ -88,7 +88,7 @@ def derivation_basis(g: LieAlgebra) -> DerivationBasis:
 
     One QR of the Leibniz matrix L, keeping only R, then the SVD of R:
     for n >= 3, R is n^2 x n^2; for n = 2 it is 2 x 4, and the full V^T
-    keeps every null vector.  Requires jacobi_defect(g) < 1e-9.  The
+    keeps every null vector.  Refuses non-Lie c by ``_jacobi_holds``.  The
     abelian algebra returns the full n^2-dimensional matrix space.
     Raises ``DimensionError`` before allocating anything of size n^4 or
     more when n^5 entries, a bound on L, would exceed ``TENSOR_MAX_BYTES``.
@@ -96,7 +96,7 @@ def derivation_basis(g: LieAlgebra) -> DerivationBasis:
     n = g.dim
     _refuse_above_cap("the Leibniz tensor of Der(g) by SVD", n, 5)
     defect = jacobi_defect(g)
-    if defect >= 1e-9:
+    if not _jacobi_holds(defect, g.c):
         raise ValueError(f"not a Lie algebra (Jacobi defect {defect:g})")
     _, s, vt = np.linalg.svd(np.linalg.qr(_leibniz_operator(g), mode="r"))
     smax = s[0] if s.size and s[0] > 0 else 1.0
@@ -121,6 +121,12 @@ def is_derivation(g: LieAlgebra, D: np.ndarray, tol: float) -> tuple[bool, float
     rhs = (D.T @ c.reshape(n, n * n)).reshape(n * n, n) + np.matmul(D.T, c).reshape(n * n, n)
     defect = float(np.max(np.abs(lhs - rhs)))
     return defect <= tol, defect
+
+
+def _require_family(g: LieAlgebra, what: str) -> None:
+    """Refuse CUSTOM algebras, pushed families too: the pattern is the families' own."""
+    if g.family_tag is Family.CUSTOM:
+        raise UnsupportedFamilyError(f"{what} needs a built-in family")
 
 
 def _forbidden_mask(n: int) -> np.ndarray:
@@ -152,10 +158,9 @@ def pattern_check(g: LieAlgebra, basis: DerivationBasis) -> bool:
     to the largest entry, and the elements restricted to the free
     positions have full rank, relative to their largest singular value:
     the span is the whole free space, whatever the scale, orthonormality
-    or repeats of the elements.  Only defined for the built-in families.
+    or repeats of the elements.  Refuses CUSTOM algebras (``_require_family``).
     """
-    if g.family_tag is Family.CUSTOM:
-        raise UnsupportedFamilyError("pattern_check needs a built-in family")
+    _require_family(g, "pattern_check")
     n = g.dim
     if basis.n != n:
         raise ShapeError(f"basis is {basis.n}x{basis.n}, algebra is {n}-dimensional")

@@ -18,14 +18,16 @@ constructively yields, for any G:
 
 The group element g of G is lower triangular with positive diagonal,
 g = [[A_1, 0], [A_3, A_4]] in blocks of sizes 2 and n - 2.  With
-V = A_4^{-1} A_3 and the rotation B with B v_2 = (0, ..., 0, -λ),
+V = A_4^{-1} A_3 and any orthogonal B with B v_2 = (0, ..., 0, -λ),
 
     g = blockdiag(A_1, A_4) [[I, 0], [V, I]] = A g_λ blockdiag(I_2, B)
 
-for a scaled automorphism A with A_11 = g_11.  So the frame is
-X = g blockdiag(I_2, B^T) / g_11, the scale is k = g_11^2, and the unit
-automorphism ψ = A / g_11 = X (I + λ E_{n,2}) is X with its entries
-(i, 2), i >= 3, set to zero: one Cholesky factorisation and one
+for a scaled automorphism A with A_11 = g_11; det B is free, since Aut(g)
+holds all of GL(n - 2) on the trailing block (central in ``rh2+abelian``;
+in ``rh-line`` ad(e_1) is the identity there and e_2 is central).  So
+the frame is X = g blockdiag(I_2, B^T) / g_11, the scale is k = g_11^2,
+and the unit automorphism ψ = A / g_11 = X (I + λ E_{n,2}) is X with its
+entries (i, 2), i >= 3, set to zero: one Cholesky factorisation and one
 (n-2)-dimensional solve, no QR.
 
 Parameters λ below 1e-9 are snapped to exactly 0 so downstream
@@ -38,11 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivations import _forbidden_mask
+from .derivations import _forbidden_mask, _require_family
 from .eigensolve import spd_condition_number
-from .errors import NotPositiveDefiniteError, ShapeError, UnsupportedFamilyError
+from .errors import NotPositiveDefiniteError, ShapeError
 from .lie_core import (
-    FAMILIES, SINGULAR_RTOL, LieAlgebra, _freeze, _push_lower, change_basis, milnor_pattern,
+    SINGULAR_RTOL, LieAlgebra, _freeze, _push_lower, change_basis, milnor_pattern,
 )
 
 DEFAULT_TOL = 1e-8
@@ -124,33 +126,6 @@ class MilnorFrame:
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
-def _rotation_onto_last_axis(v2: np.ndarray) -> tuple[float, np.ndarray]:
-    """λ = ||v2|| and B with B v2 = (0, ..., 0, -λ), det B = +1 when m > 1.
-
-    The m = 1 block admits no rotation, so a reflection absorbs the sign
-    there (still bracket preserving for both families).
-    """
-    m = v2.shape[0]
-    lam = float(np.linalg.norm(v2))
-    if lam < LAMBDA_SNAP:
-        return 0.0, np.eye(m)
-    if m == 1:
-        return lam, np.array([[-1.0]]) if v2[0] > 0 else np.eye(1)
-    beta = v2[-1]
-    # Householder target sign chosen to avoid cancellation in w.
-    sigma = -lam if beta >= 0 else lam
-    w = v2.copy()
-    w[-1] -= sigma
-    H = np.eye(m) - 2.0 * np.outer(w, w) / (w @ w)
-    # The reflection has det -1.  When it already lands on -λ, flip the
-    # first block coordinate, which the target vector does not touch;
-    # otherwise flip the last, which takes +λ to -λ.
-    flip = np.eye(m)
-    i = 0 if sigma == -lam else m - 1
-    flip[i, i] = -1.0
-    return lam, flip @ H
-
-
 def reduce(g_alg: LieAlgebra, G: np.ndarray) -> MilnorFrame:
     """Reduce a family metric to its Milnor-type frame.
 
@@ -159,10 +134,10 @@ def reduce(g_alg: LieAlgebra, G: np.ndarray) -> MilnorFrame:
     for a fixed input.  A condition number above 1e12 only sets the
     ``conditioning_warning`` flag; the reduction still runs.  λ, k, the
     frame and the automorphism are read off the factorisation
-    g = A g_λ blockdiag(I_2, B) of the module docstring.
+    g = A g_λ blockdiag(I_2, B) of the module docstring, with B one
+    Householder reflection (and a sign) applied as a rank-1 update.
     """
-    if g_alg.family_tag not in FAMILIES:
-        raise UnsupportedFamilyError("reduce needs a built-in family metric")
+    _require_family(g_alg, "reduce")
     G, g = _factor_gram(G)
     n = g_alg.dim
     if G.shape[0] != n:
@@ -171,13 +146,22 @@ def reduce(g_alg: LieAlgebra, G: np.ndarray) -> MilnorFrame:
     cond = spd_condition_number(G)
 
     # Both columns: a one-column solve rounds v_2, and so λ, differently.
-    V = np.linalg.solve(g[2:, 2:], g[2:, :2])
-    lam, B = _rotation_onto_last_axis(V[:, 1])
+    v2 = np.linalg.solve(g[2:, 2:], g[2:, :2])[:, 1]
+    lam = float(np.linalg.norm(v2))
 
     # X = g blockdiag(I_2, B^T) / g_11; g[:2, 2:] is zero.
     g11 = float(g[0, 0])
     X = g / g11
-    X[2:, 2:] = g[2:, 2:] @ B.T / g11
+    if lam < LAMBDA_SNAP:
+        lam = 0.0
+    else:
+        # Reflect v_2 onto σ e_m by I - 2 w w^T / w^T w, w = v_2 - σ e_m, with σ
+        # signed against v_2[-1] so w does not cancel; at σ = +λ, negate x_n too.
+        sigma = -lam if v2[-1] >= 0 else lam
+        w = np.append(v2[:-1], v2[-1] - sigma)
+        X[2:, 2:] = (g[2:, 2:] - np.outer(g[2:, 2:] @ w, 2.0 * w / (w @ w))) / g11
+        if sigma > 0:
+            X[2:, -1] *= -1.0
     k = g11 * g11
     # ψ = A / g_11, which is X (I + λ E_{n,2}) unless λ was snapped to 0.
     # Column 2 of A is zero below row 2: set it, not cancel it.
@@ -221,8 +205,10 @@ def validate_aut_element(g_alg: LieAlgebra, M: np.ndarray, tol: float = DEFAULT_
     satisfies φ[x, y] = [φ x, φ y] over all basis pairs, and is invertible
     (the singular-value test of ``change_basis``).  Zero entries and the
     equation defect are held to one bound, tol max|φ|, which φ_11 = 1 must
-    exceed, so s M gets the verdict of M for every scalar s != 0.
+    exceed, so s M gets the verdict of M for every scalar s != 0.  Refuses
+    CUSTOM algebras, even pushed families, whose bases the pattern misses.
     """
+    _require_family(g_alg, "validate_aut_element")
     M = np.asarray(M, dtype=float)
     n = g_alg.dim
     if M.shape != (n, n):

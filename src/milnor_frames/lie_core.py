@@ -37,7 +37,7 @@ from .errors import (
 
 # Constructed families have exact constants; this is an absolute gate.
 ANTISYMMETRY_ATOL = 1e-12
-JACOBI_ATOL = 1e-12
+JACOBI_RTOL = 1e-12  # relative to max|c|^2, as the Jacobi defect is quadratic in c
 SINGULAR_RTOL = 1e-12  # relative: a matrix is singular when s_min <= SINGULAR_RTOL * s_max
 
 TENSOR_MAX_BYTES = 1 << 26
@@ -204,6 +204,11 @@ def jacobi_defect(g: LieAlgebra) -> float:
     return float(np.max(np.abs(jac, out=jac)))
 
 
+def _jacobi_holds(defect: float, c: np.ndarray) -> bool:
+    """The one Lie-algebra gate; scaling c scales both sides by the same s^2."""
+    return defect <= JACOBI_RTOL * float(np.max(np.abs(c))) ** 2
+
+
 def change_basis(g: LieAlgebra, basis: np.ndarray) -> LieAlgebra:
     """Push the structure constants through a new basis.
 
@@ -275,7 +280,7 @@ def parse_structure_constants(text: str) -> LieAlgebra:
         c[j - 1, i - 1, k - 1] = -v
     alg = LieAlgebra(dim=n, c=c, family_tag=Family.CUSTOM)
     defect = jacobi_defect(alg)
-    if defect > JACOBI_ATOL:
+    if not _jacobi_holds(defect, c):
         raise ValueError(f"constants violate the Jacobi identity (defect {defect:g})")
     return alg
 

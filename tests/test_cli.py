@@ -153,6 +153,20 @@ def test_env_var_tolerance(monkeypatch, capsys):
     assert code == 1
 
 
+def test_verify_paper_ignores_the_env_tolerance(monkeypatch, capsys):
+    # verify-paper has no --tol, so a bad MILNOR_TOL must not stop it
+    from milnor_frames import cli as cli_mod
+    from milnor_frames.verify import CriterionResult
+
+    fake = [CriterionResult(name="alpha", passed=True, detail="ok", elapsed=0.1)]
+    monkeypatch.setattr(cli_mod.verify_mod, "run_all", lambda: fake)
+    for bad in ("nan", "-1", "not-a-number"):
+        monkeypatch.setenv("MILNOR_TOL", bad)
+        code, out, err = run_cli(["verify-paper", "--json"], capsys)
+        assert code == 0, err
+        assert json.loads(out)[0]["name"] == "alpha"
+
+
 def test_numerical_failure_maps_to_exit_2(monkeypatch, capsys):
     from milnor_frames import cli as cli_mod
 

@@ -105,6 +105,14 @@ def test_non_lie_input_rejected():
         derivation_basis(LieAlgebra(dim=4, c=c))
 
 
+@pytest.mark.parametrize("s", [1e-4, 1.0, 1e4])
+def test_jacobi_gate_is_scale_free(s):
+    # Der(s c) = Der(c); the gate reads the defect relative to max|s c|^2
+    _, _, pushed = _pushed("rh-line", 5)
+    scaled = LieAlgebra(dim=5, c=s * pushed.c)
+    assert derivation_basis(scaled).dim == derivation_basis(pushed).dim == 14
+
+
 def test_leibniz_cap_refuses_before_allocating(monkeypatch):
     from milnor_frames import DimensionError, derivations, lie_core
 
@@ -406,11 +414,14 @@ class TestWholeTensorDefects:
         cands = [np.eye(n) + 0.5 * D for D in family_derivation_basis(n).mats]
         cands += [np.eye(n) + 0.3 * rng.normal(size=(n, n)) * free for _ in range(5)]
         scales = (1e-3, 1.0, 1e3, 1e6)
-        for alg in (build_family(family, n), pushed):
-            for M in cands:
-                for tol in (1e-10, 1e-4, 0.1):
-                    verdicts = {validate_aut_element(alg, s * M, tol=tol) for s in scales}
-                    assert len(verdicts) == 1, (tol, verdicts)
+        alg = build_family(family, n)
+        for M in cands:
+            for tol in (1e-10, 1e-4, 0.1):
+                verdicts = {validate_aut_element(alg, s * M, tol=tol) for s in scales}
+                assert len(verdicts) == 1, (tol, verdicts)
+        # the zero pattern is the families' own: a pushed algebra is refused
+        with pytest.raises(UnsupportedFamilyError):
+            validate_aut_element(pushed, cands[0], tol=0.1)
 
     def test_validate_aut_element_matches_the_pair_gather(self, family, n):
         rng, _, pushed = _pushed(family, n)
@@ -418,10 +429,12 @@ class TestWholeTensorDefects:
         cands = [np.eye(n) + 0.5 * D for D in family_derivation_basis(n).mats]
         cands += [np.eye(n) + 0.3 * rng.normal(size=(n, n)) * free for _ in range(5)]
         verdicts = set()
-        for alg in (build_family(family, n), pushed):
-            for M in cands:
-                for tol in (1e-10, 1e-4, 0.1, 1.0):
-                    got = validate_aut_element(alg, M, tol=tol)
-                    assert got == _aut_verdict_by_pairs(alg, M, tol)
-                    verdicts.add(got)
+        alg = build_family(family, n)
+        for M in cands:
+            for tol in (1e-10, 1e-4, 0.1, 1.0):
+                got = validate_aut_element(alg, M, tol=tol)
+                assert got == _aut_verdict_by_pairs(alg, M, tol)
+                verdicts.add(got)
         assert verdicts == {True, False}
+        with pytest.raises(UnsupportedFamilyError):
+            validate_aut_element(pushed, cands[0], tol=0.1)

@@ -22,7 +22,7 @@ from milnor_frames import (
     validate_gram,
 )
 from milnor_frames.derivations import _forbidden_mask
-from milnor_frames.frame_reduction import _rotation_onto_last_axis, format_gram
+from milnor_frames.frame_reduction import LAMBDA_SNAP, format_gram
 
 
 def g_lambda(n, lam):
@@ -115,12 +115,35 @@ class TestReduce:
         assert fr.scale_k == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(fr.frame, np.eye(4), atol=1e-12)
 
-    def test_constructed_parameter_recovered(self):
-        alg = build_family("rh2+abelian", 4)
-        g = g_lambda(4, 2.0)
-        fr = reduce(alg, np.linalg.inv(g @ g.T))
-        assert fr.lam == pytest.approx(2.0, abs=1e-10)
+    @pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
+    @pytest.mark.parametrize(
+        "v2",
+        [(0.0, -2.0), (0.7,), (-0.7,), (0.0, 0.0, 1.5), (0.0, 0.0, -1.5),
+         (1.2e-9, 0.0, -1.6e-9), (3e-10, 0.0, 4e-10)],
+        ids=["g_lambda", "m1-pos", "m1-neg", "last-axis-pos", "last-axis-neg",
+             "above-snap", "below-snap"],
+    )
+    def test_constructed_parameter_recovered(self, family, v2):
+        # g = I + sum_i v2_i E_{i+2,2} is lower triangular with unit
+        # diagonal, so it is the group element of G and v_2 is its column 2
+        n = len(v2) + 2
+        alg = build_family(family, n)
+        g = np.eye(n)
+        g[2:, 1] = v2
+        G = np.linalg.inv(g @ g.T)
+        fr = reduce(alg, G)
+        lam = float(np.linalg.norm(v2))
+        assert (lam >= LAMBDA_SNAP) == (fr.lam > 0.0)
+        assert fr.lam == pytest.approx(lam if fr.lam > 0.0 else 0.0, rel=1e-6, abs=1e-10)
         assert fr.scale_k == pytest.approx(1.0, abs=1e-10)
+        ortho = np.max(np.abs(fr.scale_k * fr.frame.T @ G @ fr.frame - np.eye(n)))
+        assert ortho < 1e-12 and fr.residuals.orthonormality < 1e-12
+        # below the snap the pattern is read with λ = 0, off by the λ dropped
+        bound = 1e-12 + (lam - fr.lam)
+        moved = change_basis(alg, fr.frame)
+        bracket = np.max(np.abs(moved.c - milnor_pattern(family, n, fr.lam).c))
+        assert bracket < bound and fr.residuals.bracket_pattern < bound
+        assert validate_aut_element(alg, fr.automorphism)
 
     @pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -240,7 +263,10 @@ def step_matrix_reduction(G):
     An LQ factorisation g q = T with positive diagonal, then the scaled
     automorphism A = blockdiag(A_1, A_4) [[I, 0], [v_1 e_1^T, I]]
     blockdiag(I_2, B^T) as a product of step matrices, ψ = A / A_11 and
-    frame ψ g_λ.  Kept as an independent reference for ``reduce``.
+    frame ψ g_λ.  B is built as an explicit m x m matrix: the
+    Householder reflection H taking v_2 to σ e_m (σ = -λ unless
+    v_2[-1] < 0), times diag(1, ..., 1, -1) when σ = +λ, so B v_2 = -λ e_m.
+    Kept as an independent reference for ``reduce``.
     """
     n = G.shape[0]
     Q, R = np.linalg.qr(gram_to_group_element(G).T)
@@ -248,7 +274,18 @@ def step_matrix_reduction(G):
     signs[signs == 0] = 1.0
     T = R.T * signs
     V = np.linalg.solve(T[2:, 2:], T[2:, :2])
-    lam, B = _rotation_onto_last_axis(V[:, 1])
+    v2 = V[:, 1]
+    lam = float(np.linalg.norm(v2))
+    B = np.eye(n - 2)
+    if lam < LAMBDA_SNAP:
+        lam = 0.0
+    else:
+        sigma = -lam if v2[-1] >= 0 else lam
+        w = v2 - sigma * np.eye(n - 2)[-1]
+        B = np.eye(n - 2) - 2.0 * np.outer(w, w) / (w @ w)
+        if sigma > 0:
+            B[-1] *= -1.0
+        assert np.max(np.abs(B @ v2 + lam * np.eye(n - 2)[-1])) <= 1e-12 * lam
     step_blocks = np.zeros((n, n))
     step_blocks[:2, :2] = T[:2, :2]
     step_blocks[2:, 2:] = T[2:, 2:]
@@ -339,15 +376,33 @@ class TestValidateAutElement:
 
     def test_pattern_without_bracket_equation_fails(self):
         # for the family algebras the zero pattern already forces the
-        # equation, so use a rotation algebra to see the second check bite
+        # equation; a rotation algebra, where it would not, has no zero
+        # pattern to test and is refused
         c = np.zeros((3, 3, 3))
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             c[i, j, k] = 1.0
             c[j, i, k] = -1.0
         alg = LieAlgebra(dim=3, c=c)
-        M = np.diag([1.0, 1.0, 2.0])  # zero pattern holds, bracket broken
-        assert not validate_aut_element(alg, M, tol=1e-8)
-        assert validate_aut_element(alg, np.eye(3), tol=1e-10)
+        for M in (np.diag([1.0, 1.0, 2.0]), np.eye(3)):
+            with pytest.raises(UnsupportedFamilyError):
+                validate_aut_element(alg, M, tol=1e-8)
+
+    def test_pushed_family_automorphism_is_refused(self):
+        # φ = P^-1 ψ P is an exact automorphism of the pushed algebra, but
+        # the families' zero pattern does not hold in the pushed basis
+        P = np.random.default_rng(4).uniform(-1.0, 1.0, size=(4, 4)) + 2.0 * np.eye(4)
+        alg = build_family("rh-line", 4)
+        pushed = change_basis(alg, P)
+        psi = np.eye(4)
+        psi[1, 1] += 0.7
+        psi[2, 0] = 0.4
+        phi = np.linalg.solve(P, psi @ P)
+        assert validate_aut_element(alg, psi, tol=1e-8)
+        eq = np.einsum("ijm,km->ijk", pushed.c, phi)
+        eq -= np.einsum("mi,lj,mlk->ijk", phi, phi, pushed.c)
+        assert np.max(np.abs(eq)) < 1e-14
+        with pytest.raises(UnsupportedFamilyError):
+            validate_aut_element(pushed, phi, tol=1e-8)
 
     @pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
     @pytest.mark.parametrize("n", [3, 4])
@@ -373,7 +428,9 @@ class TestValidateAutElement:
         M = np.eye(n) + 0.3 * rng.normal(size=(n, n)) * ~_forbidden_mask(n)
         psi = pattern_automorphism(rng, n)
         scales = (1e-3, 1.0, 1e3, 1e6)
-        assert len({validate_aut_element(pushed, s * M, tol=tol) for s in scales}) == 1
+        with pytest.raises(UnsupportedFamilyError):
+            validate_aut_element(pushed, M, tol=tol)
+        assert len({validate_aut_element(alg, s * M, tol=tol) for s in scales}) == 1
         assert all(validate_aut_element(alg, s * psi, tol=max(tol, 1e-8)) for s in scales)
 
 

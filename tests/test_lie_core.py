@@ -380,6 +380,19 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="Jacobi"):
             parse_structure_constants(text)
 
+    @pytest.mark.parametrize("s", [1e-7, 1.0, 1e4])
+    def test_jacobi_gate_is_scale_free(self, s):
+        # the defect is quadratic in c: rescaling neither admits a non-Lie
+        # algebra nor refuses a Lie one
+        triples = ((1, 2, 3), (1, 3, 4), (3, 4, 2))
+        bad_text = "4\n" + "".join(f"{i} {j} {k} {s!r}\n" for i, j, k in triples)
+        with pytest.raises(ValueError, match="Jacobi"):
+            parse_structure_constants(bad_text)
+        P = np.random.default_rng(3).uniform(-1.0, 1.0, size=(5, 5)) + 2.0 * np.eye(5)
+        pushed = change_basis(build_family("rh-line", 5), P)
+        text = format_structure_constants(LieAlgebra(dim=5, c=s * pushed.c))
+        np.testing.assert_array_equal(parse_structure_constants(text).c, s * pushed.c)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             parse_structure_constants("")
