@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, UnsupportedFamilyError
-from .lie_core import Family, LieAlgebra, _freeze, _jacobi_holds, _refuse_above_cap, jacobi_defect
+from .lie_core import FAMILIES, LieAlgebra, _freeze, _jacobi_holds, _refuse_above_cap, jacobi_defect
 
 NULLSPACE_RTOL = 1e-9
 PATTERN_TOL = 1e-8
@@ -124,8 +124,8 @@ def is_derivation(g: LieAlgebra, D: np.ndarray, tol: float) -> tuple[bool, float
 
 
 def _require_family(g: LieAlgebra, what: str) -> None:
-    """Refuse CUSTOM algebras, pushed families too: the pattern is the families' own."""
-    if g.family_tag is Family.CUSTOM:
+    """Refuse tags that name no family, CUSTOM included: the pattern is the families' own."""
+    if g.family_tag not in FAMILIES:
         raise UnsupportedFamilyError(f"{what} needs a built-in family")
 
 

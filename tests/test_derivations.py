@@ -3,6 +3,7 @@ import pytest
 
 from milnor_frames import (
     DerivationBasis,
+    Family,
     LieAlgebra,
     ShapeError,
     UnsupportedFamilyError,
@@ -166,8 +167,9 @@ class TestPatternCheck:
         partial = DerivationBasis(mats=E(4, 1, 1)[None, :, :])
         assert not pattern_check(alg, partial)
 
-    def test_custom_family_rejected(self):
-        alg = LieAlgebra(dim=3, c=np.zeros((3, 3, 3)))
+    @pytest.mark.parametrize("tag", [Family.CUSTOM, "custom", "so3"])
+    def test_custom_family_rejected(self, tag):
+        alg = LieAlgebra(dim=3, c=np.zeros((3, 3, 3)), family_tag=tag)
         with pytest.raises(UnsupportedFamilyError):
             pattern_check(alg, derivation_basis(alg))
 
@@ -419,6 +421,13 @@ class TestWholeTensorDefects:
             for tol in (1e-10, 1e-4, 0.1):
                 verdicts = {validate_aut_element(alg, s * M, tol=tol) for s in scales}
                 assert len(verdicts) == 1, (tol, verdicts)
+        # φ = I + ε E_12 has defect ε and max|φ| = 1: ε either side of tol
+        # keeps its verdict at every scale only if the bound is scale-free
+        for tol in (1e-10, 1e-4, 0.1):
+            for f, want in ((0.999, True), (1.001, False)):
+                M = np.eye(n)
+                M[0, 1] = f * tol
+                assert {validate_aut_element(alg, s * M, tol=tol) for s in scales} == {want}
         # the zero pattern is the families' own: a pushed algebra is refused
         with pytest.raises(UnsupportedFamilyError):
             validate_aut_element(pushed, cands[0], tol=0.1)

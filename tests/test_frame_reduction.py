@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from milnor_frames import (
+    Family,
     NotPositiveDefiniteError,
     RandomMetricSpec,
     ShapeError,
@@ -133,8 +134,10 @@ class TestReduce:
         G = np.linalg.inv(g @ g.T)
         fr = reduce(alg, G)
         lam = float(np.linalg.norm(v2))
-        assert (lam >= LAMBDA_SNAP) == (fr.lam > 0.0)
-        assert fr.lam == pytest.approx(lam if fr.lam > 0.0 else 0.0, rel=1e-6, abs=1e-10)
+        if lam < LAMBDA_SNAP:
+            assert fr.lam == 0.0
+        else:
+            assert fr.lam == pytest.approx(lam, rel=1e-12, abs=0.0)
         assert fr.scale_k == pytest.approx(1.0, abs=1e-10)
         ortho = np.max(np.abs(fr.scale_k * fr.frame.T @ G @ fr.frame - np.eye(n)))
         assert ortho < 1e-12 and fr.residuals.orthonormality < 1e-12
@@ -190,10 +193,14 @@ class TestReduce:
         assert fr.automorphism[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert validate_aut_element(alg, fr.automorphism, tol=1e-8)
 
-    def test_custom_family_rejected(self):
-        alg = LieAlgebra(dim=3, c=np.zeros((3, 3, 3)))
+    @pytest.mark.parametrize("tag", [Family.CUSTOM, "custom", "so3"])
+    def test_custom_family_rejected(self, tag):
+        # a tag that names no family is refused, whether an enum or a str
+        alg = LieAlgebra(dim=3, c=np.zeros((3, 3, 3)), family_tag=tag)
         with pytest.raises(UnsupportedFamilyError):
             reduce(alg, np.eye(3))
+        with pytest.raises(UnsupportedFamilyError):
+            validate_aut_element(alg, np.eye(3))
 
     @pytest.mark.parametrize("top, seed", [(1e13, None), (1e13, 0), (1e15, 1)])
     def test_conditioning_warning(self, top, seed):
@@ -432,6 +439,11 @@ class TestValidateAutElement:
             validate_aut_element(pushed, M, tol=tol)
         assert len({validate_aut_element(alg, s * M, tol=tol) for s in scales}) == 1
         assert all(validate_aut_element(alg, s * psi, tol=max(tol, 1e-8)) for s in scales)
+        # I + ε E_12 has defect ε against the bound tol: ε either side of it
+        edge = np.eye(n)
+        for f, want in ((0.999, True), (1.001, False)):
+            edge[0, 1] = f * tol
+            assert {validate_aut_element(alg, s * edge, tol=tol) for s in scales} == {want}
 
 
 class TestGramTextFormat:
