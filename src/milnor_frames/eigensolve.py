@@ -11,9 +11,9 @@ eigenvalue, so the check covers the output too.
 ``curvature._report`` is the one caller in the package.  The name, left
 from an earlier cyclic Jacobi iteration, stays because ``perfbench``
 traces it as the eigen layer of ``ricci_operator``; it goes when that
-layer is re-defined (ROADMAP item 1, step 1).  ``spd_condition_number``
-is the other eigenvalue read in the package: the spectrum of a Gram
-matrix, for ``frame_reduction.reduce``'s condition number.
+layer is re-defined (ROADMAP item 1, step 1).  ``frame_reduction``
+reads its condition number off the singular values of the Gram matrix's
+triangular factor, not from an eigen step.
 """
 
 from __future__ import annotations
@@ -38,10 +38,3 @@ def jacobi_eigh(a: np.ndarray) -> np.ndarray:
         raise np.linalg.LinAlgError(f"matrix has a non-finite entry or norm ({norm})")
     return np.linalg.eigvalsh(A)
 
-
-def spd_condition_number(G: np.ndarray) -> float:
-    """2-norm condition number of a symmetric positive-definite matrix,
-    w_max / w_min from ``eigvalsh``; ``inf`` when rounding leaves w_min <= 0.
-    """
-    w = np.linalg.eigvalsh(G)
-    return float(w[-1] / w[0]) if w[0] > 0 else float("inf")

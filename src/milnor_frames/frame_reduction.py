@@ -27,8 +27,10 @@ holds all of GL(n - 2) on the trailing block (central in ``rh2+abelian``;
 in ``rh-line`` ad(e_1) is the identity there and e_2 is central).  So
 the frame is X = g blockdiag(I_2, B^T) / g_11, the scale is k = g_11^2,
 and the unit automorphism ψ = A / g_11 = X (I + λ E_{n,2}) is X with its
-entries (i, 2), i >= 3, set to zero: one Cholesky factorisation and one
-(n-2)-dimensional solve, no QR.
+entries (i, 2), i >= 3, set to zero: one Cholesky factorisation, no QR.
+λ takes no inverse and no solve: with G = U U^T, U upper triangular, and
+g = U^{-T}, V = A_4^{-1} A_3 = -U_12^T U_11^{-T} and U_11^{-T} e_2 = e_2 / U[1, 1]
+(0-based), so v_2 = -U[1, 2:] / U[1, 1] and λ = ||U[1, 2:]|| / U[1, 1].
 
 Parameters λ below 1e-9 are snapped to exactly 0 so downstream
 classifiers see the boundary case sharply.
@@ -41,8 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derivations import _forbidden_mask, _require_family
-from .eigensolve import spd_condition_number
-from .errors import NotPositiveDefiniteError, ShapeError
+from .errors import NotPositiveDefiniteError, ShapeError, SingularMatrixError
 from .lie_core import (
     SINGULAR_RTOL, LieAlgebra, _freeze, _push_lower, change_basis, milnor_pattern,
 )
@@ -53,7 +54,8 @@ CONDITION_WARN = 1e12
 
 
 def _factor_gram(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``validate_gram`` and ``gram_to_group_element`` from one factorization."""
+    """The validated G and its reversed Cholesky factor U, G = U U^T with U
+    upper triangular: ``validate_gram`` and ``gram_to_group_element``."""
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ShapeError(f"Gram matrix must be square, got {G.shape}")
@@ -69,7 +71,7 @@ def _factor_gram(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("Gram matrix is not positive definite") from exc
     G.setflags(write=False)
-    return G, np.linalg.inv(U).T
+    return G, U
 
 
 def validate_gram(G: np.ndarray) -> np.ndarray:
@@ -90,7 +92,7 @@ def gram_to_group_element(G: np.ndarray) -> np.ndarray:
     lower-triangular matrices with positive diagonal: if g is such a
     matrix, gram_to_group_element((g g^T)^{-1}) reproduces g.
     """
-    return _factor_gram(G)[1]
+    return np.linalg.inv(_factor_gram(G)[1]).T
 
 
 @dataclass(frozen=True)
@@ -126,35 +128,48 @@ class MilnorFrame:
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
-def reduce(g_alg: LieAlgebra, G: np.ndarray) -> MilnorFrame:
-    """Reduce a family metric to its Milnor-type frame.
+def _frame_parameter(
+    g_alg: LieAlgebra, G: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, float]:
+    """(λ, v_2, G, U, cond(G)) for a family metric, from the factor alone.
 
-    Returns the parameter λ, the scale k, the frame matrix, the
-    automorphism factor, and residual certificates.  λ is deterministic
-    for a fixed input.  A condition number above 1e12 only sets the
-    ``conditioning_warning`` flag; the reduction still runs.  λ, k, the
-    frame and the automorphism are read off the factorisation
-    g = A g_λ blockdiag(I_2, B) of the module docstring, with B one
-    Householder reflection (and a sign) applied as a rank-1 update.
+    λ and v_2 are read off U's second row (module docstring), with λ
+    below ``LAMBDA_SNAP`` snapped to 0.  U, and so the frame
+    X = g blockdiag(I_2, B^T) / g_11, is refused as singular when
+    s_min <= ``SINGULAR_RTOL`` s_max; cond(G) = (s_max / s_min)^2.
     """
     _require_family(g_alg, "reduce")
-    G, g = _factor_gram(G)
+    G, U = _factor_gram(G)
     n = g_alg.dim
     if G.shape[0] != n:
         raise ShapeError(f"Gram matrix is {G.shape[0]}x{G.shape[0]}, algebra has dim {n}")
-
-    cond = spd_condition_number(G)
-
-    # Both columns: a one-column solve rounds v_2, and so λ, differently.
-    v2 = np.linalg.solve(g[2:, 2:], g[2:, :2])[:, 1]
+    s = np.linalg.svd(U, compute_uv=False)
+    if s[-1] <= SINGULAR_RTOL * s[0]:
+        raise SingularMatrixError("Gram matrix is singular to working precision")
+    v2 = -U[1, 2:] / U[1, 1]
     lam = float(np.linalg.norm(v2))
+    if lam < LAMBDA_SNAP:
+        lam = 0.0
+    return lam, v2, G, U, float((s[0] / s[-1]) ** 2)
 
+
+def reduce(g_alg: LieAlgebra, G: np.ndarray) -> MilnorFrame:
+    """Reduce a family metric to its Milnor-type frame.
+
+    Returns the parameter λ (that of ``_frame_parameter``), the scale k,
+    the frame matrix, the automorphism factor, and residual certificates.
+    A condition number above 1e12 only sets the ``conditioning_warning``
+    flag; the reduction still runs.  k, the frame and the automorphism are
+    read off g = A g_λ blockdiag(I_2, B) of the module docstring, with B
+    one Householder reflection (and a sign) applied as a rank-1 update.
+    """
+    lam, v2, G, U, cond = _frame_parameter(g_alg, G)
+    n = g_alg.dim
+    g = np.linalg.inv(U).T
     # X = g blockdiag(I_2, B^T) / g_11; g[:2, 2:] is zero.
     g11 = float(g[0, 0])
     X = g / g11
-    if lam < LAMBDA_SNAP:
-        lam = 0.0
-    else:
+    if lam > 0.0:
         # Reflect v_2 onto σ e_m by I - 2 w w^T / w^T w, w = v_2 - σ e_m, with σ
         # signed against v_2[-1] so w does not cancel; at σ = +λ, negate x_n too.
         sigma = -lam if v2[-1] >= 0 else lam
@@ -185,16 +200,14 @@ def orbit_parameter_equal(
 ) -> bool:
     """Whether two metrics reduce to the same frame parameter.
 
-    Compares the reduced λ of ``reduce(g_alg, G1)`` and
-    ``reduce(g_alg, G2)`` within ``tol``, nothing more.  By the moduli
+    Compares the λ that ``reduce`` would return for G1 and for G2 within
+    ``tol``, nothing more, and builds no frame.  By the moduli
     result for these families (the classes of left-invariant metrics up
     to isometry and scaling are {g_λ : λ >= 0}), equal λ implies the
     same scaled automorphism orbit, but no certificate φ with
     φ^T G1 φ proportional to G2 is computed yet (ROADMAP item 4).
     """
-    lam1 = reduce(g_alg, G1).lam
-    lam2 = reduce(g_alg, G2).lam
-    return abs(lam1 - lam2) <= tol
+    return abs(_frame_parameter(g_alg, G1)[0] - _frame_parameter(g_alg, G2)[0]) <= tol
 
 
 def validate_aut_element(g_alg: LieAlgebra, M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

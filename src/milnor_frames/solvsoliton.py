@@ -29,7 +29,7 @@ import numpy as np
 from .curvature import _closed_form_matrix
 from .derivations import DerivationBasis, _forbidden_mask
 from .errors import ShapeError
-from .frame_reduction import DEFAULT_TOL, reduce
+from .frame_reduction import DEFAULT_TOL, _frame_parameter
 from .lie_core import LieAlgebra, _freeze
 
 
@@ -137,16 +137,17 @@ def _family_fit(ric: np.ndarray, lam: float, tol: float = DEFAULT_TOL) -> Solito
 def classify_metric(
     g_alg: LieAlgebra, G: np.ndarray, tol: float = DEFAULT_TOL
 ) -> tuple[SolitonVerdict, float]:
-    """Reduce a family metric and decide the solvsoliton condition.
+    """Decide the solvsoliton condition for a family metric from its λ.
 
-    Runs the frame reduction, builds the closed-form Ricci operator at
-    scale k = 1, and fits Ric = c I + D in closed form (``_family_fit``):
-    O(n^2) entrywise work, with no derivation basis and no least-squares
-    solve.  ``solvsoliton_solve`` on the conjugated Der(g) gives the same
-    fit; it serves CUSTOM algebras, which ``reduce`` rejects, and is the
-    oracle for this one in ``verify``.  Returns the verdict together with
-    the frame parameter λ; the verdict is solvsoliton exactly when λ = 0.
+    λ is ``reduce``'s, bit for bit, read off the Gram matrix's factor
+    (``_frame_parameter``) with no frame, inverse or bracket certificate.
+    The closed-form Ricci operator at scale k = 1 is then fitted to
+    Ric = c I + D in closed form (``_family_fit``): O(n^2) entrywise work,
+    with no derivation basis and no least-squares solve.  ``solvsoliton_solve``
+    on the conjugated Der(g) gives the same fit; it serves CUSTOM algebras,
+    which are refused here, and is the oracle for this one in ``verify``.
+    Returns the verdict with λ; it is solvsoliton exactly when λ = 0.
     """
-    frame = reduce(g_alg, G)
-    ric = _closed_form_matrix(g_alg.family_tag, g_alg.dim, frame.lam)
-    return _family_fit(ric, frame.lam, tol), frame.lam
+    lam = _frame_parameter(g_alg, G)[0]
+    ric = _closed_form_matrix(g_alg.family_tag, g_alg.dim, lam)
+    return _family_fit(ric, lam, tol), lam

@@ -23,7 +23,7 @@ from .derivations import (
     family_derivation_basis,
     pattern_check,
 )
-from .frame_reduction import DEFAULT_TOL, reduce
+from .frame_reduction import DEFAULT_TOL, _frame_parameter, reduce
 from .lie_core import FAMILIES, Family, build_family, change_basis, milnor_pattern
 from .sampling import RandomMetricSpec, SplitMix64, sample_metric
 from .solvsoliton import SolitonVerdict, classify_metric, solvsoliton_solve
@@ -226,9 +226,9 @@ def check_reduction_soundness() -> CriterionResult:
                 worst_bracket = max(worst_bracket, bracket)
 
                 scale = 0.1 + 9.9 * abs(seed_stream.uniform())
-                lam_scaled = reduce(alg, scale * G).lam
+                lam_scaled = _frame_parameter(alg, scale * G)[0]
                 phi = _pattern_automorphism(seed_stream, n)
-                lam_pushed = reduce(alg, _pushforward(G, phi)).lam
+                lam_pushed = _frame_parameter(alg, _pushforward(G, phi))[0]
                 rel = max(1.0, fr.lam)
                 worst_invariance = max(
                     worst_invariance,

@@ -118,6 +118,26 @@ def test_dim_mismatch_exits_1(tmp_path, capsys):
     assert "4" in err
 
 
+SINGULAR_GRAM_TEXT = """\
+3209694336958.66 -454890.25341743167 470758.3931189687 -1728606.6272946296
+-454890.25341743167 1.09 -0.06671755901985943 0.24498490654414226
+470758.3931189687 -0.06671755901985943 0.06904503713718232 -0.25353070815130646
+-1728606.6272946296 0.24498490654414226 -0.25353070815130646 0.9309549627584728
+"""
+
+
+@pytest.mark.parametrize("command", ["reduce", "solvsoliton"])
+def test_singular_gram_exits_1_naming_the_gram_matrix(command, tmp_path, capsys):
+    # positive definite to Cholesky, but its factor has s_min / s_max = 2.8e-13
+    path = tmp_path / "metric.txt"
+    path.write_text(SINGULAR_GRAM_TEXT)
+    code, _, err = run_cli(
+        [command, "--family", "rh-line", "--dim", "4", "--metric", str(path)], capsys
+    )
+    assert code == 1
+    assert "Gram matrix is singular" in err
+
+
 def test_dim_too_small_exits_1(capsys):
     code, _, err = run_cli(
         ["reduce", "--family", "rh-line", "--dim", "2", "--random", "1"], capsys

@@ -8,10 +8,12 @@ from milnor_frames import (
     NotPositiveDefiniteError,
     RandomMetricSpec,
     ShapeError,
+    SingularMatrixError,
     UnsupportedFamilyError,
     LieAlgebra,
     build_family,
     change_basis,
+    classify_metric,
     gram_to_group_element,
     milnor_pattern,
     orbit_parameter_equal,
@@ -24,6 +26,16 @@ from milnor_frames import (
 )
 from milnor_frames.derivations import _forbidden_mask
 from milnor_frames.frame_reduction import LAMBDA_SNAP, format_gram
+
+
+# rh-line, n = 4: cond(G) = 1.3e25 and s_min / s_max of its factor U is 2.8e-13,
+# under SINGULAR_RTOL, while the Cholesky factorisation still succeeds
+SINGULAR_GRAM = np.array([
+    [3209694336958.66, -454890.25341743167, 470758.3931189687, -1728606.6272946296],
+    [-454890.25341743167, 1.09, -0.06671755901985943, 0.24498490654414226],
+    [470758.3931189687, -0.06671755901985943, 0.06904503713718232, -0.25353070815130646],
+    [-1728606.6272946296, 0.24498490654414226, -0.25353070815130646, 0.9309549627584728],
+])
 
 
 def g_lambda(n, lam):
@@ -247,7 +259,7 @@ class TestReduce:
             reduce(alg, G)
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("fn", [reduce, ricci_operator])
+    @pytest.mark.parametrize("fn", [reduce, ricci_operator, classify_metric])
     def test_factors_the_gram_matrix_once(self, fn, monkeypatch):
         calls = []
         real = np.linalg.cholesky
@@ -262,6 +274,26 @@ class TestReduce:
         for _ in range(3):
             fn(alg, G)
         assert len(calls) == 3
+
+
+@pytest.mark.parametrize("fn", [reduce, classify_metric])
+@pytest.mark.parametrize(
+    "alg, G, exc",
+    [
+        (LieAlgebra(dim=3, c=np.zeros((3, 3, 3)), family_tag=Family.CUSTOM), np.eye(3), UnsupportedFamilyError),
+        (LieAlgebra(dim=3, c=np.zeros((3, 3, 3)), family_tag="custom"), np.eye(3), UnsupportedFamilyError),
+        (LieAlgebra(dim=3, c=np.zeros((3, 3, 3)), family_tag="so3"), np.eye(3), UnsupportedFamilyError),
+        (build_family("rh2+abelian", 4), np.eye(3), ShapeError),
+        (build_family("rh-line", 3), np.diag([1.0, -1.0, 1.0]), NotPositiveDefiniteError),
+        (build_family("rh-line", 3), np.array([[1.0, 0.0, np.nan], [0.0, 1.0, 0.0], [np.nan, 0.0, 1.0]]), ShapeError),
+        (build_family("rh-line", 4), SINGULAR_GRAM, SingularMatrixError),
+    ],
+    ids=["CUSTOM", "custom-str", "so3-str", "dim-mismatch", "not-pd", "nan", "singular"],
+)
+def test_reduce_and_classify_refuse_alike(fn, alg, G, exc):
+    # one λ path: classify_metric refuses exactly what reduce refuses
+    with pytest.raises(exc):
+        fn(alg, G)
 
 
 def step_matrix_reduction(G):

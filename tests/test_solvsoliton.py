@@ -10,10 +10,13 @@ from milnor_frames import (
     closed_form_ricci,
     conjugated_derivation_basis,
     derivation_basis,
+    gram_to_group_element,
+    reduce,
     sample_metric,
     solvsoliton_solve,
 )
 from milnor_frames.derivations import family_derivation_basis
+from milnor_frames.frame_reduction import LAMBDA_SNAP
 
 
 def test_family1_flat_metric_is_soliton():
@@ -170,6 +173,44 @@ def test_classify_runs_no_eigensolve(monkeypatch):
     verdict, lam = classify_metric(alg, sample_metric(RandomMetricSpec(seed=3), 6))
     assert lam > 0 and not verdict.is_solvsoliton
     assert calls == []
+
+
+def test_classify_runs_no_frame_reduction(monkeypatch):
+    # λ comes off the Gram factor: no frame, no inverse, no bracket certificate
+    from milnor_frames import frame_reduction
+
+    calls = []
+
+    def counting(name, real):
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(frame_reduction, "change_basis", counting("change_basis", frame_reduction.change_basis))
+    monkeypatch.setattr(frame_reduction, "reduce", counting("reduce", frame_reduction.reduce))
+    monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
+    alg = build_family("rh2+abelian", 6)
+    verdict, lam = classify_metric(alg, sample_metric(RandomMetricSpec(seed=3), 6))
+    assert lam > 0 and not verdict.is_solvsoliton
+    assert calls == []
+
+
+@pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
+@pytest.mark.parametrize("n", [3, 4, 8, 12, 16])
+def test_classify_lambda_is_reduce_lambda(family, n):
+    # the same λ as reduce, bit for bit, and as the block solve
+    # v_2 = (A_4^{-1} A_3) e_2 on the group element g, to rounding
+    alg = build_family(family, n)
+    for seed in range(10):
+        G = sample_metric(RandomMetricSpec(seed=1000 * n + seed), n)
+        lam = classify_metric(alg, G)[1]
+        assert lam == reduce(alg, G).lam
+        g = gram_to_group_element(G)
+        want = float(np.linalg.norm(np.linalg.solve(g[2:, 2:], g[2:, :2])[:, 1]))
+        if want < LAMBDA_SNAP:
+            want = 0.0
+        assert abs(lam - want) <= 1e-15 * max(1.0, want)
 
 
 @pytest.mark.parametrize("n", range(3, 17))
