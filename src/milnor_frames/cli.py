@@ -26,7 +26,6 @@ import numpy as np
 from . import verify as verify_mod
 from .curvature import closed_form_ricci, ricci_operator
 from .derivations import derivation_basis
-from .errors import DimensionError
 from .frame_reduction import DEFAULT_TOL, parse_gram, reduce
 from .lie_core import FAMILIES, build_family
 from .sampling import RandomMetricSpec, SplitMix64, sample_metric
@@ -95,12 +94,7 @@ def _emit(payload: dict | list, args: argparse.Namespace, text_lines: list[str])
 def _load_metric(args: argparse.Namespace) -> np.ndarray:
     if args.metric is not None:
         with open(args.metric, "r", encoding="utf-8") as fh:
-            G = parse_gram(fh.read())
-        if G.shape[0] != args.dim:
-            raise DimensionError(
-                f"metric file is {G.shape[0]}x{G.shape[0]}, --dim is {args.dim}"
-            )
-        return G
+            return parse_gram(fh.read())
     return sample_metric(RandomMetricSpec(seed=args.random), args.dim)
 
 

@@ -11,10 +11,10 @@ the curvature is R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 
 For a generic metric G the frame is the lower-triangular group element g
 of ``frame_reduction`` ((g g^T)^{-1} = G, so the columns of g are
-orthonormal for G), the frame that ``reduce`` also starts from; the
-Ricci eigenvalues do not depend on that choice.  For the two built-in
-families with frame parameter λ the operator is also available in
-closed form:
+orthonormal for G), the frame that ``reduce`` also starts from, after
+the same Gram checks; the Ricci eigenvalues do not depend on that
+choice.  For the two built-in families with frame parameter λ the
+operator is also available in closed form:
 
 * ``rh2+abelian``: diag(-1 - λ²/2, -1 - λ²/2, 0, ..., 0, λ²/2)
 * ``rh-line``: diagonal (-(n-2) - λ²/2, -λ²/2, -(n-2), ..., -(n-2),
@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolve import jacobi_eigh
-from .errors import ShapeError
-from .frame_reduction import gram_to_group_element
+from .errors import ShapeError, SingularMatrixError
+from .frame_reduction import _factor_gram
 from .lie_core import Family, LieAlgebra, _checked_family, _freeze, _refuse_above_cap, change_basis
 
 SIGNATURE_TOL = 1e-8
@@ -131,16 +131,20 @@ def _report(ric: np.ndarray) -> RicciReport:
 def ricci_operator(g: LieAlgebra, G: np.ndarray) -> RicciReport:
     """Ricci operator of the metric G on g, reported in an orthonormal frame.
 
-    The frame is the group element g of ``gram_to_group_element``, the
-    structure constants are pushed into it, and the Koszul / curvature
-    pipeline contracts down to the operator.  For a family metric that
-    ``reduce`` takes to (X, k, λ) the matrix is k Q Ric(λ) Q^T, with
-    Q = sqrt(k) g^{-1} X orthogonal and Ric(λ) the closed form.
+    G passes ``reduce``'s Gram gate (``_factor_gram``); the frame is its
+    group element g = U^{-T}, the structure constants are pushed into it,
+    and the Koszul / curvature pipeline contracts down to the operator.
+    g has U's singular-value ratio, so a singular g is a singular G.  For
+    a family metric that ``reduce`` takes to (X, k, λ) the matrix is
+    k Q Ric(λ) Q^T, with Q = sqrt(k) g^{-1} X orthogonal and Ric(λ) the
+    closed form.
     """
-    frame = gram_to_group_element(G)
-    if frame.shape[0] != g.dim:
-        raise ShapeError(f"Gram matrix is {frame.shape[0]}x{frame.shape[0]}, algebra has dim {g.dim}")
-    return _report(_ricci_matrix(change_basis(g, frame)))
+    frame = np.linalg.inv(_factor_gram(G, g.dim)[1]).T
+    try:
+        moved = change_basis(g, frame)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError("Gram matrix is singular to working precision") from exc
+    return _report(_ricci_matrix(moved))
 
 
 def closed_form_ricci(family_tag: Family | str, n: int, lam: float) -> RicciReport:

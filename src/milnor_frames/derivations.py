@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, UnsupportedFamilyError
-from .lie_core import FAMILIES, LieAlgebra, _freeze, _jacobi_holds, _refuse_above_cap, jacobi_defect
+from .errors import ShapeError
+from .lie_core import LieAlgebra, _checked_family, _freeze, _jacobi_holds, _refuse_above_cap, jacobi_defect
 
 NULLSPACE_RTOL = 1e-9
 PATTERN_TOL = 1e-8
@@ -123,12 +123,6 @@ def is_derivation(g: LieAlgebra, D: np.ndarray, tol: float) -> tuple[bool, float
     return defect <= tol, defect
 
 
-def _require_family(g: LieAlgebra, what: str) -> None:
-    """Refuse tags that name no family, CUSTOM included: the pattern is the families' own."""
-    if g.family_tag not in FAMILIES:
-        raise UnsupportedFamilyError(f"{what} needs a built-in family")
-
-
 def _forbidden_mask(n: int) -> np.ndarray:
     mask = np.zeros((n, n), dtype=bool)
     mask[0, :] = True            # first row
@@ -158,9 +152,9 @@ def pattern_check(g: LieAlgebra, basis: DerivationBasis) -> bool:
     to the largest entry, and the elements restricted to the free
     positions have full rank, relative to their largest singular value:
     the span is the whole free space, whatever the scale, orthonormality
-    or repeats of the elements.  Refuses CUSTOM algebras (``_require_family``).
+    or repeats of the elements.  Refuses CUSTOM algebras (``_checked_family``).
     """
-    _require_family(g, "pattern_check")
+    _checked_family(g.family_tag, g.dim)
     n = g.dim
     if basis.n != n:
         raise ShapeError(f"basis is {basis.n}x{basis.n}, algebra is {n}-dimensional")

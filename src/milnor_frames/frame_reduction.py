@@ -42,10 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivations import _forbidden_mask, _require_family
+from .derivations import _forbidden_mask
 from .errors import NotPositiveDefiniteError, ShapeError, SingularMatrixError
 from .lie_core import (
-    SINGULAR_RTOL, LieAlgebra, _freeze, _push_lower, change_basis, milnor_pattern,
+    SINGULAR_RTOL, LieAlgebra, _checked_family, _freeze, _push_lower, change_basis, milnor_pattern,
 )
 
 DEFAULT_TOL = 1e-8
@@ -53,12 +53,15 @@ LAMBDA_SNAP = 1e-9
 CONDITION_WARN = 1e12
 
 
-def _factor_gram(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _factor_gram(G: np.ndarray, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The validated G and its reversed Cholesky factor U, G = U U^T with U
-    upper triangular: ``validate_gram`` and ``gram_to_group_element``."""
+    upper triangular: the one Gram gate.  Checks, in order: square, n x n
+    (n is the algebra's dimension, if given), finite, symmetric, definite."""
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ShapeError(f"Gram matrix must be square, got {G.shape}")
+    if n is not None and len(G) != n:
+        raise ShapeError(f"Gram matrix is {len(G)}x{len(G)}, algebra has dim {n}")
     # NaN compares false, so it would slip past the symmetry check below.
     if not np.all(np.isfinite(G)):
         raise ShapeError("Gram matrix must be finite")
@@ -138,11 +141,8 @@ def _frame_parameter(
     X = g blockdiag(I_2, B^T) / g_11, is refused as singular when
     s_min <= ``SINGULAR_RTOL`` s_max; cond(G) = (s_max / s_min)^2.
     """
-    _require_family(g_alg, "reduce")
-    G, U = _factor_gram(G)
-    n = g_alg.dim
-    if G.shape[0] != n:
-        raise ShapeError(f"Gram matrix is {G.shape[0]}x{G.shape[0]}, algebra has dim {n}")
+    _checked_family(g_alg.family_tag, g_alg.dim)
+    G, U = _factor_gram(G, g_alg.dim)
     s = np.linalg.svd(U, compute_uv=False)
     if s[-1] <= SINGULAR_RTOL * s[0]:
         raise SingularMatrixError("Gram matrix is singular to working precision")
@@ -221,7 +221,7 @@ def validate_aut_element(g_alg: LieAlgebra, M: np.ndarray, tol: float = DEFAULT_
     exceed, so s M gets the verdict of M for every scalar s != 0.  Refuses
     CUSTOM algebras, even pushed families, whose bases the pattern misses.
     """
-    _require_family(g_alg, "validate_aut_element")
+    _checked_family(g_alg.family_tag, g_alg.dim)
     M = np.asarray(M, dtype=float)
     n = g_alg.dim
     if M.shape != (n, n):

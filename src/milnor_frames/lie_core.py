@@ -19,11 +19,15 @@ and antisymmetry.  Constants the package computes itself
 (:func:`build_family`, :func:`milnor_pattern`, :func:`change_basis`) are
 antisymmetric by construction and are only checked for finiteness, so an
 overflowing basis change still raises ``ShapeError``.
+
+``LieAlgebra(...)`` takes no family tag and is always CUSTOM: only
+:func:`build_family` sets one, and one guard, ``_checked_family``,
+refuses every other tag for the family-only operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -85,13 +89,14 @@ class LieAlgebra:
     ``c[i, j, k]`` is the coefficient of ``e_k`` in ``[e_i, e_j]``
     (0-based here, 1-based in rendered output).  The constructor checks
     dim >= 2, the (dim, dim, dim) shape, finiteness and antisymmetry, and
-    stores a read-only copy.  The package's own producers go through
-    ``_computed``, which checks finiteness only.
+    stores a read-only copy; it takes no tag, so its algebras are always
+    CUSTOM.  The package's own producers go through ``_computed``, which
+    checks finiteness only and is where ``build_family`` sets the tag.
     """
 
     dim: int
     c: np.ndarray
-    family_tag: Family = Family.CUSTOM
+    family_tag: Family = field(default=Family.CUSTOM, init=False)
 
     def __post_init__(self) -> None:
         if self.dim < 2:
@@ -125,10 +130,12 @@ class LieAlgebra:
 
 def _checked_family(family_tag: Family | str, n: int, lam: float = 0.0) -> Family:
     """The built-in family named by ``family_tag``; needs 0 <= λ < inf and
-    n >= 3, with the n^3-entry structure tensor within ``TENSOR_MAX_BYTES``."""
+    n >= 3, with the n^3-entry structure tensor within ``TENSOR_MAX_BYTES``.
+    Any other tag, CUSTOM or a string that names no family, is refused."""
+    if family_tag not in FAMILIES:
+        name = getattr(family_tag, "value", family_tag)
+        raise UnsupportedFamilyError(f"operation needs a built-in family, got {name!r}")
     family = Family(family_tag)
-    if family is Family.CUSTOM:
-        raise UnsupportedFamilyError("operation needs a built-in family, got 'custom'")
     if n < 3:
         raise DimensionError(f"family algebras need n >= 3, got {n}")
     _refuse_above_cap("the structure tensor", n, 3)
@@ -278,7 +285,7 @@ def parse_structure_constants(text: str) -> LieAlgebra:
             raise ValueError(f"indices out of range (need 1 <= i < j <= n): {ln!r}")
         c[i - 1, j - 1, k - 1] = v
         c[j - 1, i - 1, k - 1] = -v
-    alg = LieAlgebra(dim=n, c=c, family_tag=Family.CUSTOM)
+    alg = LieAlgebra(dim=n, c=c)
     defect = jacobi_defect(alg)
     if not _jacobi_holds(defect, c):
         raise ValueError(f"constants violate the Jacobi identity (defect {defect:g})")

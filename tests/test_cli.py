@@ -118,6 +118,17 @@ def test_dim_mismatch_exits_1(tmp_path, capsys):
     assert "4" in err
 
 
+@pytest.mark.parametrize("command", ["reduce", "solvsoliton", "curvature"])
+def test_dim_mismatch_names_both_sizes(command, tmp_path, capsys):
+    path = tmp_path / "metric.txt"
+    path.write_text(format_gram(np.eye(3)))
+    code, _, err = run_cli(
+        [command, "--family", "rh-line", "--dim", "4", "--metric", str(path)], capsys
+    )
+    assert code == 1
+    assert "Gram matrix is 3x3, algebra has dim 4" in err
+
+
 SINGULAR_GRAM_TEXT = """\
 3209694336958.66 -454890.25341743167 470758.3931189687 -1728606.6272946296
 -454890.25341743167 1.09 -0.06671755901985943 0.24498490654414226
@@ -126,7 +137,7 @@ SINGULAR_GRAM_TEXT = """\
 """
 
 
-@pytest.mark.parametrize("command", ["reduce", "solvsoliton"])
+@pytest.mark.parametrize("command", ["reduce", "solvsoliton", "curvature"])
 def test_singular_gram_exits_1_naming_the_gram_matrix(command, tmp_path, capsys):
     # positive definite to Cholesky, but its factor has s_min / s_max = 2.8e-13
     path = tmp_path / "metric.txt"

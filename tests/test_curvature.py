@@ -259,8 +259,10 @@ class TestClosedForm:
             closed_form_ricci("rh-line", 4, lam)
 
     def test_rejects_custom(self):
-        with pytest.raises(UnsupportedFamilyError):
-            closed_form_ricci("custom", 4, 0.0)
+        # CUSTOM and a string that names no family get the same class
+        for tag in ("custom", "so3"):
+            with pytest.raises(UnsupportedFamilyError):
+                closed_form_ricci(tag, 4, 0.0)
 
 
 class TestSignature:

@@ -3,7 +3,6 @@ import pytest
 
 from milnor_frames import (
     DerivationBasis,
-    Family,
     LieAlgebra,
     ShapeError,
     UnsupportedFamilyError,
@@ -167,9 +166,11 @@ class TestPatternCheck:
         partial = DerivationBasis(mats=E(4, 1, 1)[None, :, :])
         assert not pattern_check(alg, partial)
 
-    @pytest.mark.parametrize("tag", [Family.CUSTOM, "custom", "so3"])
-    def test_custom_family_rejected(self, tag):
-        alg = LieAlgebra(dim=3, c=np.zeros((3, 3, 3)), family_tag=tag)
+    @pytest.mark.parametrize("family", [None, "rh2+abelian", "rh-line"])
+    def test_custom_family_rejected(self, family):
+        # the constructor makes CUSTOM algebras only, even from a family's constants
+        c = np.zeros((3, 3, 3)) if family is None else build_family(family, 3).c
+        alg = LieAlgebra(dim=3, c=c)
         with pytest.raises(UnsupportedFamilyError):
             pattern_check(alg, derivation_basis(alg))
 

@@ -37,6 +37,11 @@ SINGULAR_GRAM = np.array([
     [-1728606.6272946296, 0.24498490654414226, -0.25353070815130646, 0.9309549627584728],
 ])
 
+# so(3): [e_1, e_2] = e_3 and cyclically
+SO3 = np.zeros((3, 3, 3))
+for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    SO3[i, j, k], SO3[j, i, k] = 1.0, -1.0
+
 
 def g_lambda(n, lam):
     g = np.eye(n)
@@ -205,14 +210,22 @@ class TestReduce:
         assert fr.automorphism[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert validate_aut_element(alg, fr.automorphism, tol=1e-8)
 
-    @pytest.mark.parametrize("tag", [Family.CUSTOM, "custom", "so3"])
-    def test_custom_family_rejected(self, tag):
-        # a tag that names no family is refused, whether an enum or a str
-        alg = LieAlgebra(dim=3, c=np.zeros((3, 3, 3)), family_tag=tag)
-        with pytest.raises(UnsupportedFamilyError):
-            reduce(alg, np.eye(3))
-        with pytest.raises(UnsupportedFamilyError):
-            validate_aut_element(alg, np.eye(3))
+    @pytest.mark.parametrize(
+        "c", [np.zeros((3, 3, 3)), SO3, build_family("rh-line", 3).c], ids=["abelian", "so3", "rh-line-constants"]
+    )
+    def test_custom_family_rejected(self, c):
+        # the constructor takes no tag: its algebras are CUSTOM, even with a
+        # family's own constants, and every family-only operation refuses
+        # them; so(3) under the tag "rh-line" would read as a solvsoliton
+        # at λ = 0 and reduce to a frame with bracket residual 1.0
+        alg = LieAlgebra(dim=3, c=c)
+        assert alg.family_tag is Family.CUSTOM
+        for tag in (Family.RH_LINE_SUM, "rh-line", Family.CUSTOM, "so3"):
+            with pytest.raises(TypeError):
+                LieAlgebra(dim=3, c=c, family_tag=tag)
+        for fn in (reduce, classify_metric, validate_aut_element):
+            with pytest.raises(UnsupportedFamilyError):
+                fn(alg, np.eye(3))
 
     @pytest.mark.parametrize("top, seed", [(1e13, None), (1e13, 0), (1e15, 1)])
     def test_conditioning_warning(self, top, seed):
@@ -248,9 +261,9 @@ class TestReduce:
         calls = []
         real = fr_mod._factor_gram
 
-        def counting(G):
+        def counting(G, n=None):
             calls.append(1)
-            return real(G)
+            return real(G, n)
 
         monkeypatch.setattr(fr_mod, "_factor_gram", counting)
         alg = build_family("rh-line", 5)
@@ -276,23 +289,22 @@ class TestReduce:
         assert len(calls) == 3
 
 
-@pytest.mark.parametrize("fn", [reduce, classify_metric])
+@pytest.mark.parametrize("fn", [reduce, classify_metric, ricci_operator])
 @pytest.mark.parametrize(
-    "alg, G, exc",
+    "alg, G, exc, match",
     [
-        (LieAlgebra(dim=3, c=np.zeros((3, 3, 3)), family_tag=Family.CUSTOM), np.eye(3), UnsupportedFamilyError),
-        (LieAlgebra(dim=3, c=np.zeros((3, 3, 3)), family_tag="custom"), np.eye(3), UnsupportedFamilyError),
-        (LieAlgebra(dim=3, c=np.zeros((3, 3, 3)), family_tag="so3"), np.eye(3), UnsupportedFamilyError),
-        (build_family("rh2+abelian", 4), np.eye(3), ShapeError),
-        (build_family("rh-line", 3), np.diag([1.0, -1.0, 1.0]), NotPositiveDefiniteError),
-        (build_family("rh-line", 3), np.array([[1.0, 0.0, np.nan], [0.0, 1.0, 0.0], [np.nan, 0.0, 1.0]]), ShapeError),
-        (build_family("rh-line", 4), SINGULAR_GRAM, SingularMatrixError),
+        (build_family("rh2+abelian", 4), np.eye(3), ShapeError, "3x3, algebra has dim 4"),
+        (build_family("rh-line", 4), -np.eye(3), ShapeError, "3x3, algebra has dim 4"),
+        (build_family("rh-line", 3), np.diag([1.0, -1.0, 1.0]), NotPositiveDefiniteError, "not positive definite"),
+        (build_family("rh-line", 3), np.array([[1.0, 0.0, np.nan], [0.0, 1.0, 0.0], [np.nan, 0.0, 1.0]]), ShapeError, "finite"),
+        (build_family("rh-line", 4), SINGULAR_GRAM, SingularMatrixError, "Gram matrix is singular"),
     ],
-    ids=["CUSTOM", "custom-str", "so3-str", "dim-mismatch", "not-pd", "nan", "singular"],
+    ids=["dim-mismatch", "dim-mismatch-not-pd", "not-pd", "nan", "singular"],
 )
-def test_reduce_and_classify_refuse_alike(fn, alg, G, exc):
-    # one λ path: classify_metric refuses exactly what reduce refuses
-    with pytest.raises(exc):
+def test_reduce_and_classify_refuse_alike(fn, alg, G, exc, match):
+    # one Gram gate: classify_metric and ricci_operator refuse exactly what
+    # reduce refuses, with the same message, and the size comes first
+    with pytest.raises(exc, match=match):
         fn(alg, G)
 
 

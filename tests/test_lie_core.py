@@ -65,9 +65,11 @@ class TestBuildFamily:
         np.testing.assert_array_equal(milnor_pattern(family, n, 0.0).c, build_family(family, n).c)
 
     def test_shared_guards(self):
-        for make in (lambda: build_family("custom", 4), lambda: milnor_pattern("custom", 4, 1.0)):
-            with pytest.raises(UnsupportedFamilyError):
-                make()
+        # CUSTOM and a string that names no family get the same class
+        for tag in ("custom", Family.CUSTOM, "so3"):
+            for make in (lambda: build_family(tag, 4), lambda: milnor_pattern(tag, 4, 1.0)):
+                with pytest.raises(UnsupportedFamilyError, match="built-in family"):
+                    make()
         with pytest.raises(DimensionError):
             milnor_pattern("rh-line", 2, 1.0)
         for lam in (-1.0, np.nan, np.inf):

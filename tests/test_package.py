@@ -10,9 +10,8 @@ def test_public_names_resolve_and_are_listed_once_in_order():
     assert [name for name in names if not hasattr(milnor_frames, name)] == []
 
 
-def test_eigen_routines_are_called_only_in_eigensolve():
-    # one eigen path: every eigenvalue goes through eigensolve.jacobi_eigh
-    eigen = {"eig", "eigh", "eigvals", "eigvalsh"}
+def _modules_calling(names):
+    """Package source files that call any function in ``names``."""
     src = Path(milnor_frames.__file__).parent
     callers = set()
     for path in sorted(src.glob("*.py")):
@@ -20,6 +19,16 @@ def test_eigen_routines_are_called_only_in_eigensolve():
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in eigen:
+                if name in names:
                     callers.add(path.name)
-    assert callers == {"eigensolve.py"}
+    return callers
+
+
+def test_eigen_routines_are_called_only_in_eigensolve():
+    # one eigen path: every eigenvalue goes through eigensolve.jacobi_eigh
+    assert _modules_calling({"eig", "eigh", "eigvals", "eigvalsh"}) == {"eigensolve.py"}
+
+
+def test_cholesky_is_called_only_in_frame_reduction():
+    # one Gram gate: every Gram matrix is validated and factored by _factor_gram
+    assert _modules_calling({"cholesky"}) == {"frame_reduction.py"}
