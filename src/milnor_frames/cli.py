@@ -25,11 +25,14 @@ import numpy as np
 
 from . import verify as verify_mod
 from .curvature import closed_form_ricci, ricci_operator
-from .derivations import derivation_basis
+from .derivations import family_derivation_basis
+from .errors import DimensionError
 from .frame_reduction import DEFAULT_TOL, parse_gram, reduce
-from .lie_core import FAMILIES, build_family
+from .lie_core import FAMILIES, _checked_family, build_family
 from .sampling import RandomMetricSpec, SplitMix64, sample_metric
 from .solvsoliton import classify_metric
+
+DERIVATIONS_MAX_DIM = 24  # derivation_basis's range; the basis has ((n-2)^2 + n) n^2 numbers
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,7 +97,7 @@ def _emit(payload: dict | list, args: argparse.Namespace, text_lines: list[str])
 def _load_metric(args: argparse.Namespace) -> np.ndarray:
     if args.metric is not None:
         with open(args.metric, "r", encoding="utf-8") as fh:
-            return parse_gram(fh.read())
+            return parse_gram(fh.read(), args.dim)
     return sample_metric(RandomMetricSpec(seed=args.random), args.dim)
 
 
@@ -156,8 +159,10 @@ def _run_curvature(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_derivations(args: argparse.Namespace) -> tuple[int, str]:
-    alg = build_family(args.family, args.dim)
-    basis = derivation_basis(alg)
+    _checked_family(args.family, args.dim)
+    if args.dim > DERIVATIONS_MAX_DIM:
+        raise DimensionError(f"--dim {args.dim} is over the printed basis cap, {DERIVATIONS_MAX_DIM}")
+    basis = family_derivation_basis(args.dim)
     payload = {
         "dim": basis.dim,
         "n": basis.n,

@@ -18,11 +18,11 @@ tests a computed basis against the pattern itself.
 
 Which path serves whom: ``classify_metric`` needs no basis at all, since
 its closed-form fit reads the same free pattern (``_forbidden_mask``);
-``family_derivation_basis`` and ``conjugated_derivation_basis`` serve
-the dense ``solvsoliton_solve`` that is the fit's oracle.  The null
-space of ``derivation_basis`` serves CUSTOM algebras and the CLI
-``derivations`` subcommand, and in ``verify`` it is the independent
-oracle that certifies the closed form.
+``family_derivation_basis`` serves the CLI ``derivations`` subcommand
+and, with ``conjugated_derivation_basis``, the dense ``solvsoliton_solve``
+that is the fit's oracle.  The null space of ``derivation_basis`` serves
+CUSTOM algebras, and in ``verify`` it is the independent oracle that
+certifies the closed form.
 The Leibniz matrix L, built on the pairs i < j, has n^4(n-1)/2 entries;
 its R factor is n^2 x n^2 for n >= 3.  ``derivation_basis`` refuses
 n > 24 (n^5 over ``TENSOR_MAX_BYTES``).

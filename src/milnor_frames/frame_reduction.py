@@ -86,16 +86,16 @@ def validate_gram(G: np.ndarray) -> np.ndarray:
     return _factor_gram(G)[0]
 
 
-def gram_to_group_element(G: np.ndarray) -> np.ndarray:
+def gram_to_group_element(G: np.ndarray, n: int | None = None) -> np.ndarray:
     """Group element g with (g g^T)^{-1} = G, i.e. <.,.>_G = g.<.,.>_0.
 
     Uses the reversed triangular factorization G = U U^T (U upper
     triangular with positive diagonal) and returns the lower-triangular
     g = U^{-T}.  With this convention the map is the identity on
     lower-triangular matrices with positive diagonal: if g is such a
-    matrix, gram_to_group_element((g g^T)^{-1}) reproduces g.
+    matrix, gram_to_group_element((g g^T)^{-1}) reproduces g.  Given n, G must be n x n.
     """
-    return np.linalg.inv(_factor_gram(G)[1]).T
+    return np.linalg.inv(_factor_gram(G, n)[1]).T
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,7 @@ def orbit_parameter_equal(
     result for these families (the classes of left-invariant metrics up
     to isometry and scaling are {g_λ : λ >= 0}), equal λ implies the
     same scaled automorphism orbit, but no certificate φ with
-    φ^T G1 φ proportional to G2 is computed yet (ROADMAP item 4).
+    φ^T G1 φ proportional to G2 is computed yet (ROADMAP item 7).
     """
     return abs(_frame_parameter(g_alg, G1)[0] - _frame_parameter(g_alg, G2)[0]) <= tol
 
@@ -242,8 +242,8 @@ def validate_aut_element(g_alg: LieAlgebra, M: np.ndarray, tol: float = DEFAULT_
 # --- Gram matrix text format: n lines of n space-separated decimals ------
 
 
-def parse_gram(text: str) -> np.ndarray:
-    """Parse the Gram matrix text format and validate the result."""
+def parse_gram(text: str, n: int | None = None) -> np.ndarray:
+    """Parse the Gram matrix text format and validate the result, size first if n is given."""
     rows = []
     for ln in text.splitlines():
         ln = ln.strip()
@@ -252,10 +252,9 @@ def parse_gram(text: str) -> np.ndarray:
         rows.append([float(tok) for tok in ln.split()])
     if not rows:
         raise ValueError("empty Gram matrix input")
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    if any(len(r) != len(rows) for r in rows):
         raise ShapeError("Gram matrix rows must all have length n")
-    return validate_gram(np.array(rows))
+    return _factor_gram(np.array(rows), n)[0]
 
 
 def format_gram(G: np.ndarray) -> str:

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from milnor_frames import RandomMetricSpec, sample_metric
+from milnor_frames import RandomMetricSpec, build_family, derivation_basis, sample_metric
 from milnor_frames.cli import build_parser, main
+from milnor_frames.derivations import family_derivation_basis
 from milnor_frames.frame_reduction import format_gram
 
 
@@ -66,6 +67,22 @@ def test_derivations_output(capsys):
     assert out.splitlines()[0] == "dim 8"
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
+def test_derivations_prints_the_closed_form(family, n, capsys):
+    code, out, _ = run_cli(["derivations", "--family", family, "--dim", str(n), "--json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    closed = family_derivation_basis(n).mats
+    assert payload["dim"] == len(closed) == (n - 2) ** 2 + n and payload["n"] == n
+    printed = np.array(payload["basis"]).reshape(-1, n, n)
+    assert np.array_equal(printed, closed)
+    # the same space as the Leibniz null space: equal orthogonal projectors
+    svd = derivation_basis(build_family(family, n)).mats.reshape(-1, n * n)
+    flat = printed.reshape(-1, n * n)
+    assert np.max(np.abs(flat.T @ flat - svd.T @ svd)) <= 1e-12
+
+
 def test_signature_sweep_deterministic(capsys):
     argv = [
         "signature-sweep", "--family", "rh2+abelian", "--dim", "4",
@@ -118,10 +135,12 @@ def test_dim_mismatch_exits_1(tmp_path, capsys):
     assert "4" in err
 
 
+@pytest.mark.parametrize("gram", [np.eye(3), -np.eye(3)], ids=["identity", "not-pd"])
 @pytest.mark.parametrize("command", ["reduce", "solvsoliton", "curvature"])
-def test_dim_mismatch_names_both_sizes(command, tmp_path, capsys):
+def test_dim_mismatch_names_both_sizes(command, gram, tmp_path, capsys):
+    # the size is checked before definiteness
     path = tmp_path / "metric.txt"
-    path.write_text(format_gram(np.eye(3)))
+    path.write_text(format_gram(gram))
     code, _, err = run_cli(
         [command, "--family", "rh-line", "--dim", "4", "--metric", str(path)], capsys
     )
@@ -149,11 +168,16 @@ def test_singular_gram_exits_1_naming_the_gram_matrix(command, tmp_path, capsys)
     assert "Gram matrix is singular" in err
 
 
-def test_dim_too_small_exits_1(capsys):
-    code, _, err = run_cli(
-        ["reduce", "--family", "rh-line", "--dim", "2", "--random", "1"], capsys
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [["reduce", "--random", "1"], ["derivations"]],
+    ids=["reduce", "derivations"],
+)
+def test_dim_too_small_exits_1(argv, capsys):
+    code, out, err = run_cli(argv + ["--family", "rh-line", "--dim", "2"], capsys)
     assert code == 1
+    assert out == ""
+    assert "n >= 3" in err
 
 
 def test_bad_flags_exit_1():
@@ -262,15 +286,17 @@ def test_verify_paper_reporting(monkeypatch, capsys):
     assert payload[0]["name"] == "alpha" and payload[0]["passed"] is True
 
 
-def test_derivations_over_the_leibniz_cap_exits_1(monkeypatch, capsys):
+@pytest.mark.parametrize("n", [25, 100])
+def test_derivations_over_the_printed_basis_cap_exits_1(n, monkeypatch, capsys):
+    from milnor_frames import cli as cli_mod
     from milnor_frames import derivations
 
     def refuse(*_):
         raise AssertionError("allocated before the size check")
 
+    monkeypatch.setattr(cli_mod, "family_derivation_basis", refuse)
     monkeypatch.setattr(derivations, "_leibniz_operator", refuse)
-    monkeypatch.setattr(derivations, "jacobi_defect", refuse)
-    code, out, err = run_cli(["derivations", "--family", "rh-line", "--dim", "100"], capsys)
+    code, out, err = run_cli(["derivations", "--family", "rh-line", "--dim", str(n)], capsys)
     assert code == 1
     assert out == ""
     assert "cap" in err

@@ -32,3 +32,8 @@ def test_eigen_routines_are_called_only_in_eigensolve():
 def test_cholesky_is_called_only_in_frame_reduction():
     # one Gram gate: every Gram matrix is validated and factored by _factor_gram
     assert _modules_calling({"cholesky"}) == {"frame_reduction.py"}
+
+
+def test_leibniz_svd_is_called_only_in_verify():
+    # the families' Der(g) is printed in closed form; the SVD is verify's oracle
+    assert _modules_calling({"derivation_basis"}) == {"verify.py"}
