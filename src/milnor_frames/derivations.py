@@ -2,12 +2,16 @@
 
 A derivation is a linear map D with D[x, y] = [Dx, y] + [x, Dy].  The
 defect of that identity over all basis pairs is a linear function of D,
-so Der(g) is the null space of a fixed matrix L.  L = QR has the same
-right singular vectors as its triangular factor R (Chan's R-SVD), so we
-take R alone by QR, then the SVD of R, and keep the right singular
-vectors whose singular values fall below 1e-9 times the largest one;
-neither Q nor L's left singular vectors are formed.  The resulting basis
-matrices are orthonormal in the Frobenius inner product.
+so Der(g) is the null space of a fixed matrix L.  L and its n^2 x n^2
+Gram matrix L^T L have the same right singular vectors, and the Gram's
+singular values are L's squared, so we take one symmetric SVD of L^T L
+and keep the vectors whose squared singular values fall below
+``GRAM_RTOL`` times the largest one.  The Gram cannot resolve singular
+values of L much below 1e-5 of the largest, so the kept block Z is then
+certified on L itself: ||L Z^T||_F must stay within ``NULLSPACE_RTOL``
+of L's largest singular value, or the rank is refused as unresolved.
+The resulting basis matrices are orthonormal in the Frobenius inner
+product.
 
 For the two built-in families the answer has a rigid shape: the first
 row vanishes, row 2 is supported on columns 1..2, column 2 vanishes
@@ -24,7 +28,7 @@ that is the fit's oracle.  The null space of ``derivation_basis`` serves
 CUSTOM algebras, and in ``verify`` it is the independent oracle that
 certifies the closed form.
 The Leibniz matrix L, built on the pairs i < j, has n^4(n-1)/2 entries;
-its R factor is n^2 x n^2 for n >= 3.  ``derivation_basis`` refuses
+its Gram matrix is n^2 x n^2 at every n.  ``derivation_basis`` refuses
 n > 24 (n^5 over ``TENSOR_MAX_BYTES``).
 """
 
@@ -37,7 +41,8 @@ import numpy as np
 from .errors import ShapeError
 from .lie_core import LieAlgebra, _checked_family, _freeze, _jacobi_holds, _refuse_above_cap, jacobi_defect
 
-NULLSPACE_RTOL = 1e-9
+GRAM_RTOL = 1e-10  # relative to sigma_max^2: rank counts sigma >= 1e-5 sigma_max of L
+NULLSPACE_RTOL = 1e-9  # relative to sigma_max: the bound on ||L Z^T||_F the null block must meet
 PATTERN_TOL = 1e-8
 
 
@@ -86,40 +91,64 @@ def _leibniz_operator(g: LieAlgebra) -> np.ndarray:
 def derivation_basis(g: LieAlgebra) -> DerivationBasis:
     """Compute an orthonormal basis of Der(g).
 
-    One QR of the Leibniz matrix L, keeping only R, then the SVD of R:
-    for n >= 3, R is n^2 x n^2; for n = 2 it is 2 x 4, and the full V^T
-    keeps every null vector.  Refuses non-Lie c by ``_jacobi_holds``.  The
-    abelian algebra returns the full n^2-dimensional matrix space.
-    Raises ``DimensionError`` before allocating anything of size n^4 or
-    more when n^5 entries, a bound on L, would exceed ``TENSOR_MAX_BYTES``.
+    One symmetric SVD of the n^2 x n^2 Gram matrix L^T L of the Leibniz
+    matrix L (numpy's ``eigh`` underneath), the same at every n: no QR
+    and no size switch.  Singular values sigma of L with sigma^2 below
+    ``GRAM_RTOL`` sigma_max^2 count as null, and the null block Z must
+    then meet ||L Z^T||_F <= ``NULLSPACE_RTOL`` sigma_max; otherwise
+    ``np.linalg.LinAlgError`` ("rank of the Leibniz matrix unresolved")
+    is raised.  So a singular value in (1e-9, 1e-5) sigma_max is refused,
+    never silently counted on either side.
+
+    Accuracy: the residual above is a backward error on L itself, but the
+    forward error of the span grows like eps (sigma_max / sigma_r)^2, with
+    sigma_r the smallest nonzero singular value, where an SVD of L gives
+    eps sigma_max / sigma_r.  Over 40 families (n = 4..8) pushed through
+    bases P of fixed cond(P), the span projector stays within 2.9e-9 of
+    the SVD of L's at cond(P) = 1e4 and within 2.5e-7 at 1e6, and the
+    residual within 1.3e-11 sigma_max; at cond(P) = 1e6, 3 of the 40 are
+    refused where an SVD of L still reads the right dimension (none at
+    1e5 or below).
+
+    Refuses non-Lie c by ``_jacobi_holds``.  The abelian algebra returns
+    the full n^2-dimensional matrix space.  Raises ``DimensionError``
+    before allocating anything of size n^4 or more when n^5 entries, a
+    bound on L, would exceed ``TENSOR_MAX_BYTES``.
     """
     n = g.dim
     _refuse_above_cap("the Leibniz tensor of Der(g) by SVD", n, 5)
     defect = jacobi_defect(g)
     if not _jacobi_holds(defect, g.c):
         raise ValueError(f"not a Lie algebra (Jacobi defect {defect:g})")
-    _, s, vt = np.linalg.svd(np.linalg.qr(_leibniz_operator(g), mode="r"))
-    smax = s[0] if s.size and s[0] > 0 else 1.0
-    rank = int(np.sum(s >= NULLSPACE_RTOL * smax))
-    mats = vt[rank:].reshape(-1, n, n)
-    return DerivationBasis(mats=mats)
+    L = _leibniz_operator(g)
+    _, s2, vt = np.linalg.svd(L.T @ L, hermitian=True)
+    smax = np.sqrt(s2[0]) if s2[0] > 0 else 1.0
+    null = vt[int(np.sum(s2 >= GRAM_RTOL * smax**2)):]
+    residual = float(np.linalg.norm(L @ null.T))
+    if residual > NULLSPACE_RTOL * smax:
+        raise np.linalg.LinAlgError(
+            f"rank of the Leibniz matrix unresolved: null-space residual {residual:.2e} "
+            f"exceeds {NULLSPACE_RTOL:g} of its largest singular value {smax:.2e}"
+        )
+    return DerivationBasis(mats=null.reshape(-1, n, n))
 
 
 def is_derivation(g: LieAlgebra, D: np.ndarray, tol: float) -> tuple[bool, float]:
     """Check the Leibniz rule for one matrix; returns (verdict, defect).
 
-    The defect is the max over all pairs (i, j) of the sup-norm of
-    D[e_i,e_j] - [De_i,e_j] - [e_i,De_j]; for antisymmetric c that is the
-    max over i < j, since the (j, i) entries are the negated (i, j) ones.
+    The defect is the max over all (i, j, k) of the k-th component of
+    D[e_i,e_j] - [De_i,e_j] - [e_i,De_j].  Two matrix products give it:
+    t = D^T c is [De_i, e_j], and since c is antisymmetric, [e_i, De_j]
+    is -t with i and j swapped.
     """
     D = np.asarray(D, dtype=float)
     n = g.dim
     if D.shape != (n, n):
         raise ShapeError(f"expected a {n}x{n} matrix, got {D.shape}")
     c = g.c
-    lhs = c.reshape(n * n, n) @ D.T
-    rhs = (D.T @ c.reshape(n, n * n)).reshape(n * n, n) + np.matmul(D.T, c).reshape(n * n, n)
-    defect = float(np.max(np.abs(lhs - rhs)))
+    t = (D.T @ c.reshape(n, n * n)).reshape(n, n, n)
+    lhs = (c.reshape(n * n, n) @ D.T).reshape(n, n, n)
+    defect = float(np.abs(lhs - t + t.transpose(1, 0, 2)).max())
     return defect <= tol, defect
 
 

@@ -49,9 +49,10 @@ TENSOR_MAX_BYTES = 1 << 26
 n <= 203 for the n^3-entry structure tensor, n <= 53 for the n^4-entry
 Riemann tensor and Jacobi contraction, and n <= 24 for n^5 entries, the
 bound ``derivation_basis`` puts on its n^4(n-1)/2-entry Leibniz matrix
-(29 MiB at n = 24).  Its QR sets the peak at n = 24: 91 MB of ru_maxrss,
-61 MiB of it numpy arrays (the matrix and the copy ``np.linalg.qr``
-factors); the SVD that follows works on the n^2 x n^2 R factor."""
+(29 MiB at n = 24).  One n = 24 call peaks at 60 MiB of numpy arrays
+(``tracemalloc``), L and the 26 MiB product L Z^T that certifies its
+null block Z, and raises ru_maxrss by 81 MB; the SVD works on the
+n^2 x n^2 Gram matrix."""
 
 
 def _refuse_above_cap(what: str, n: int, rank: int) -> None:

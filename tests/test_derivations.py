@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milnor_frames import (
     DerivationBasis,
@@ -14,7 +16,12 @@ from milnor_frames import (
     parse_structure_constants,
     pattern_check,
 )
-from milnor_frames.derivations import _forbidden_mask, _leibniz_operator, family_derivation_basis
+from milnor_frames.derivations import (
+    NULLSPACE_RTOL,
+    _forbidden_mask,
+    _leibniz_operator,
+    family_derivation_basis,
+)
 from milnor_frames.frame_reduction import validate_aut_element
 
 
@@ -48,8 +55,8 @@ def _aff1():
     ids=["abelian-2", "aff1"],
 )
 def test_dim2_keeps_every_null_vector(alg, want):
-    # n = 2 is the one size whose Leibniz matrix is wider than tall: its R
-    # factor is 2 x 4, so part of the null space lies outside a thin V^T.
+    # n = 2 is the one size whose Leibniz matrix is wider than tall (2 x 4),
+    # so part of the null space lies outside L's row space altogether.
     basis = derivation_basis(alg)
     assert basis.dim == want
     for D in basis.mats:
@@ -306,7 +313,7 @@ def test_leibniz_operator_equals_the_tensor_gather(alg):
     assert np.array_equal(_leibniz_operator(alg), _leibniz_by_gather(alg))
 
 
-# --- the null space from R against the SVD of the whole Leibniz matrix ---
+# --- the null space from the Gram matrix against the SVD of L -----------
 
 
 def _null_space_by_svd_of_l(g):
@@ -335,8 +342,8 @@ def _null_space_cases():
 
 @pytest.mark.parametrize("alg", _null_space_cases())
 def test_null_space_from_r_spans_the_svd_of_l(alg):
-    # same span, not the same vectors: at n = 3, 4 LAPACK's SVD of L
-    # skips its own QR, so the basis may come out rotated
+    # same span, not the same vectors: within the null space each SVD
+    # may return any rotation of the basis
     ref = _null_space_by_svd_of_l(alg)
     basis = derivation_basis(alg)
     flat = basis.mats.reshape(basis.dim, -1)
@@ -347,8 +354,9 @@ def test_null_space_from_r_spans_the_svd_of_l(alg):
 
 @pytest.mark.parametrize("n", [3, 4, 8, 12])
 def test_svd_runs_on_the_square_r_factor(monkeypatch, n):
-    # an SVD of the Leibniz matrix itself, tall for n >= 4, would also form
-    # its unused U
+    # one SVD, of the n^2 x n^2 Gram matrix: an SVD of the Leibniz matrix
+    # itself, tall for n >= 4, would also form its unused U, and no QR
+    # copies L
     alg = change_basis(build_family("rh-line", n), _well_conditioned_basis(np.random.default_rng(n), n))
     shapes = []
     svd = np.linalg.svd
@@ -357,9 +365,56 @@ def test_svd_runs_on_the_square_r_factor(monkeypatch, n):
         shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
+    def no_qr(*_, **__):
+        raise AssertionError("np.linalg.qr called")
+
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
     derivation_basis(alg)
     assert shapes == [(n * n, n * n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(["rh2+abelian", "rh-line"]),
+    n=st.integers(3, 12),
+)
+def test_null_space_is_certified_on_l(seed, family, n):
+    # the family dimension survives any basis with cond(P) <= 1e3, and the
+    # null block meets its residual bound on L itself, not on L^T L
+    alg = change_basis(build_family(family, n), _well_conditioned_basis(np.random.default_rng(seed), n))
+    basis = derivation_basis(alg)
+    L = _leibniz_operator(alg)
+    assert basis.dim == (n - 2) ** 2 + n
+    assert np.linalg.norm(L @ basis.mats.reshape(basis.dim, -1).T) <= NULLSPACE_RTOL * np.linalg.norm(L, 2)
+
+
+def _graded_algebra(n, eps):
+    """ad(e_1) = diag(0, 1, 1 + eps, 1 + 2 eps, ...).  Each E_pq with
+    2 <= p != q is a derivation at eps = 0 only: the Leibniz matrix has
+    (n - 1)(n - 2) singular values of order eps * sigma_max."""
+    c = np.zeros((n, n, n))
+    for j in range(1, n):
+        c[0, j, j] = 1.0 + (j - 1) * eps
+        c[j, 0, j] = -c[0, j, j]
+    return LieAlgebra(dim=n, c=c)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("eps", [1e-5, 1e-7, 1e-9])
+def test_unresolved_rank_is_refused(n, eps):
+    # singular values in (1e-9, 1e-5) sigma_max: the Gram counts them as
+    # null, but then the null block misses its residual bound on L
+    with pytest.raises(np.linalg.LinAlgError, match="rank of the Leibniz matrix unresolved"):
+        derivation_basis(_graded_algebra(n, eps))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-10, 1e-12, 0.0])
+def test_resolved_rank_matches_the_svd_of_l(n, eps):
+    alg = _graded_algebra(n, eps)
+    assert derivation_basis(alg).dim == _null_space_by_svd_of_l(alg).shape[0]
 
 
 # --- whole-tensor defects against the i < j gather they replaced ---------
