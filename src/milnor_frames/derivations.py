@@ -11,7 +11,8 @@ values of L much below 1e-5 of the largest, so the kept block Z is then
 certified on L itself: ||L Z^T||_F must stay within ``NULLSPACE_RTOL``
 of L's largest singular value, or the rank is refused as unresolved.
 The resulting basis matrices are orthonormal in the Frobenius inner
-product.
+product.  L is built from c / max|c|; c is Lie already, as the
+``LieAlgebra`` constructor is the one Jacobi gate.
 
 For the two built-in families the answer has a rigid shape: the first
 row vanishes, row 2 is supported on columns 1..2, column 2 vanishes
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .lie_core import LieAlgebra, _checked_family, _freeze, _jacobi_holds, _refuse_above_cap, jacobi_defect
+from .lie_core import LieAlgebra, _checked_family, _freeze, _refuse_above_cap
 
 GRAM_RTOL = 1e-10  # relative to sigma_max^2: rank counts sigma >= 1e-5 sigma_max of L
 NULLSPACE_RTOL = 1e-9  # relative to sigma_max: the bound on ||L Z^T||_F the null block must meet
@@ -110,17 +111,15 @@ def derivation_basis(g: LieAlgebra) -> DerivationBasis:
     refused where an SVD of L still reads the right dimension (none at
     1e5 or below).
 
-    Refuses non-Lie c by ``_jacobi_holds``.  The abelian algebra returns
-    the full n^2-dimensional matrix space.  Raises ``DimensionError``
-    before allocating anything of size n^4 or more when n^5 entries, a
-    bound on L, would exceed ``TENSOR_MAX_BYTES``.
+    L is built from c / max|c|, so Der(s c) = Der(c) at every float scale.
+    The abelian algebra returns the full n^2-dimensional matrix space.
+    Raises ``DimensionError`` before allocating anything of size n^4 or
+    more when n^5 entries, a bound on L, would exceed ``TENSOR_MAX_BYTES``.
     """
     n = g.dim
     _refuse_above_cap("the Leibniz tensor of Der(g) by SVD", n, 5)
-    defect = jacobi_defect(g)
-    if not _jacobi_holds(defect, g.c):
-        raise ValueError(f"not a Lie algebra (Jacobi defect {defect:g})")
-    L = _leibniz_operator(g)
+    top = float(np.max(np.abs(g.c)))
+    L = _leibniz_operator(LieAlgebra._computed(g.c / (top or 1.0)))
     _, s2, vt = np.linalg.svd(L.T @ L, hermitian=True)
     smax = np.sqrt(s2[0]) if s2[0] > 0 else 1.0
     null = vt[int(np.sum(s2 >= GRAM_RTOL * smax**2)):]

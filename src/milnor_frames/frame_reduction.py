@@ -65,10 +65,10 @@ def _factor_gram(G: np.ndarray, n: int | None = None) -> tuple[np.ndarray, np.nd
     # NaN compares false, so it would slip past the symmetry check below.
     if not np.all(np.isfinite(G)):
         raise ShapeError("Gram matrix must be finite")
-    scale = float(np.max(np.abs(G))) or 1.0
-    if np.max(np.abs(G - G.T)) >= 1e-10 * scale:
+    # '>': the bound underflows to 0 for subnormal G; halving first cannot overflow
+    if np.max(np.abs(G - G.T)) > 1e-10 * float(np.max(np.abs(G))):
         raise ShapeError("Gram matrix is not symmetric")
-    G = 0.5 * (G + G.T)
+    G = 0.5 * G + 0.5 * G.T
     try:
         U = np.linalg.cholesky(G[::-1, ::-1])[::-1, ::-1]
     except np.linalg.LinAlgError as exc:
@@ -162,6 +162,7 @@ def reduce(g_alg: LieAlgebra, G: np.ndarray) -> MilnorFrame:
     flag; the reduction still runs.  k, the frame and the automorphism are
     read off g = A g_λ blockdiag(I_2, B) of the module docstring, with B
     one Householder reflection (and a sign) applied as a rank-1 update.
+    An overflowing k (G near the subnormals) raises ``LinAlgError``.
     """
     lam, v2, G, U, cond = _frame_parameter(g_alg, G)
     n = g_alg.dim
@@ -178,6 +179,8 @@ def reduce(g_alg: LieAlgebra, G: np.ndarray) -> MilnorFrame:
         if sigma > 0:
             X[2:, -1] *= -1.0
     k = g11 * g11
+    if not np.isfinite(k):
+        raise np.linalg.LinAlgError(f"scale k = g_11^2 overflows (g_11 = {g11:.3e})")
     # ψ = A / g_11, which is X (I + λ E_{n,2}) unless λ was snapped to 0.
     # Column 2 of A is zero below row 2: set it, not cancel it.
     psi = X.copy()

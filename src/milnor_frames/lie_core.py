@@ -13,12 +13,13 @@ Two families are built in:
 Every value is immutable after construction and every function here is
 pure, so the module is safe to use from multiple threads.
 
-Constants from outside the package (``LieAlgebra(...)``,
-:func:`parse_structure_constants`) are fully validated: shape, finiteness
-and antisymmetry.  Constants the package computes itself
-(:func:`build_family`, :func:`milnor_pattern`, :func:`change_basis`) are
-antisymmetric by construction and are only checked for finiteness, so an
-overflowing basis change still raises ``ShapeError``.
+Constants from outside the package (``LieAlgebra(...)``, which
+:func:`parse_structure_constants` calls) are fully validated: shape,
+finiteness, antisymmetry and, on c / max|c|, the Jacobi identity.
+Constants the package computes itself (:func:`build_family`,
+:func:`milnor_pattern`, :func:`change_basis`) are Lie by construction and
+are only checked for finiteness, so an overflowing basis change still
+raises ``ShapeError``.
 
 ``LieAlgebra(...)`` takes no family tag and is always CUSTOM: only
 :func:`build_family` sets one, and one guard, ``_checked_family``,
@@ -39,20 +40,19 @@ from .errors import (
     UnsupportedFamilyError,
 )
 
-# Constructed families have exact constants; this is an absolute gate.
-ANTISYMMETRY_ATOL = 1e-12
-JACOBI_RTOL = 1e-12  # relative to max|c|^2, as the Jacobi defect is quadratic in c
+ANTISYMMETRY_RTOL = 1e-12  # relative to max|c|, like the Jacobi gate
+JACOBI_RTOL = 1e-12  # bound on the Jacobi defect of c / max|c|
 SINGULAR_RTOL = 1e-12  # relative: a matrix is singular when s_min <= SINGULAR_RTOL * s_max
 
 TENSOR_MAX_BYTES = 1 << 26
 """Largest dense float64 tensor one call builds: 64 MiB, which admits
 n <= 203 for the n^3-entry structure tensor, n <= 53 for the n^4-entry
-Riemann tensor and Jacobi contraction, and n <= 24 for n^5 entries, the
-bound ``derivation_basis`` puts on its n^4(n-1)/2-entry Leibniz matrix
-(29 MiB at n = 24).  One n = 24 call peaks at 60 MiB of numpy arrays
-(``tracemalloc``), L and the 26 MiB product L Z^T that certifies its
-null block Z, and raises ru_maxrss by 81 MB; the SVD works on the
-n^2 x n^2 Gram matrix."""
+Riemann tensor and Jacobi contraction (so for every ``LieAlgebra(...)``),
+and n <= 24 for n^5 entries, the bound ``derivation_basis`` puts on its
+n^4(n-1)/2-entry Leibniz matrix (29 MiB at n = 24).  One n = 24 call
+peaks at 60 MiB of numpy arrays (``tracemalloc``), L and the 26 MiB
+product L Z^T that certifies its null block Z, and raises ru_maxrss by
+81 MB; the SVD works on the n^2 x n^2 Gram matrix."""
 
 
 def _refuse_above_cap(what: str, n: int, rank: int) -> None:
@@ -89,7 +89,8 @@ class LieAlgebra:
 
     ``c[i, j, k]`` is the coefficient of ``e_k`` in ``[e_i, e_j]``
     (0-based here, 1-based in rendered output).  The constructor checks
-    dim >= 2, the (dim, dim, dim) shape, finiteness and antisymmetry, and
+    dim >= 2, the (dim, dim, dim) shape, finiteness, antisymmetry and the
+    Jacobi identity of c / max|c| (``ValueError``; needs dim <= 53), and
     stores a read-only copy; it takes no tag, so its algebras are always
     CUSTOM.  The package's own producers go through ``_computed``, which
     checks finiteness only and is where ``build_family`` sets the tag.
@@ -109,10 +110,13 @@ class LieAlgebra:
             )
         if not np.all(np.isfinite(c)):
             raise ShapeError("structure constants must be finite")
-        scale = max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
+        top = float(np.max(np.abs(c)))
         skew = np.max(np.abs(c + c.transpose(1, 0, 2)))
-        if skew > ANTISYMMETRY_ATOL * scale:
+        if skew > ANTISYMMETRY_RTOL * top:
             raise ShapeError(f"structure constants not antisymmetric (defect {skew:g})")
+        defect = jacobi_defect(LieAlgebra._computed(c / (top or 1.0)))
+        if defect > JACOBI_RTOL:
+            raise ValueError(f"constants violate the Jacobi identity (defect {defect:g} of max|c|^2)")
         object.__setattr__(self, "c", _freeze(c))
 
     @classmethod
@@ -212,11 +216,6 @@ def jacobi_defect(g: LieAlgebra) -> float:
     return float(np.max(np.abs(jac, out=jac)))
 
 
-def _jacobi_holds(defect: float, c: np.ndarray) -> bool:
-    """The one Lie-algebra gate; scaling c scales both sides by the same s^2."""
-    return defect <= JACOBI_RTOL * float(np.max(np.abs(c))) ** 2
-
-
 def change_basis(g: LieAlgebra, basis: np.ndarray) -> LieAlgebra:
     """Push the structure constants through a new basis.
 
@@ -273,7 +272,7 @@ def parse_structure_constants(text: str) -> LieAlgebra:
         raise ValueError(f"first line must be the dimension, got {lines[0]!r}") from exc
     if n < 2:
         raise DimensionError(f"need dim >= 2, got {n}")
-    # the Jacobi check below contracts n^4 entries
+    # refuse before allocating: the constructor's Jacobi gate contracts n^4 entries
     _refuse_above_cap("the Jacobi contraction", n, 4)
     c = np.zeros((n, n, n))
     for ln in lines[1:]:
@@ -286,11 +285,7 @@ def parse_structure_constants(text: str) -> LieAlgebra:
             raise ValueError(f"indices out of range (need 1 <= i < j <= n): {ln!r}")
         c[i - 1, j - 1, k - 1] = v
         c[j - 1, i - 1, k - 1] = -v
-    alg = LieAlgebra(dim=n, c=c)
-    defect = jacobi_defect(alg)
-    if not _jacobi_holds(defect, c):
-        raise ValueError(f"constants violate the Jacobi identity (defect {defect:g})")
-    return alg
+    return LieAlgebra(dim=n, c=c)
 
 
 def format_structure_constants(g: LieAlgebra) -> str:

@@ -366,3 +366,29 @@ def test_overflowing_lambda_exits_2(capsys):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+
+
+def _strict_json(text):
+    # RFC 8259 has no NaN or Infinity; json.loads would accept both
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("s", [1e-320, 1e-315, 5e-309, 1e-300, 1e300, 1e308])
+def test_gram_gate_holds_at_both_ends_of_the_float_range(s, tmp_path, capsys):
+    # G = s I: symmetric and definite at every s; only k = g_11^2 = 1/s can overflow
+    path = tmp_path / "metric.txt"
+    path.write_text(format_gram(s * np.eye(4)))
+    argv = ["--family", "rh-line", "--dim", "4", "--metric", str(path), "--json"]
+    code, out, err = run_cli(["reduce", *argv], capsys)
+    if s <= 5e-309:
+        assert code == 2 and out == "" and err.startswith("numerical failure:")
+    else:
+        assert code == 0
+        payload = _strict_json(out)
+        assert payload["lambda"] == 0.0 and payload["residuals"]["orthonormality"] < 1e-12
+    code, out, _ = run_cli(["solvsoliton", *argv], capsys)
+    assert code == 0
+    assert _strict_json(out)["lambda"] == 0.0

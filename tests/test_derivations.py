@@ -103,18 +103,10 @@ def test_basis_is_frobenius_orthonormal():
     assert np.max(np.abs(gram - np.eye(basis.dim))) < 1e-10
 
 
-def test_non_lie_input_rejected():
-    c = np.zeros((4, 4, 4))
-    for i, j, k in ((0, 1, 2), (0, 2, 3), (2, 3, 1)):
-        c[i, j, k] = 1.0
-        c[j, i, k] = -1.0
-    with pytest.raises(ValueError, match="Jacobi"):
-        derivation_basis(LieAlgebra(dim=4, c=c))
-
-
-@pytest.mark.parametrize("s", [1e-4, 1.0, 1e4])
+@pytest.mark.parametrize("s", [1e-200, 1e-4, 1.0, 1e4, 1e160, 1e300])
 def test_jacobi_gate_is_scale_free(s):
-    # Der(s c) = Der(c); the gate reads the defect relative to max|s c|^2
+    # Der(s c) = Der(c): L is built from c / max|c|, so neither its Gram
+    # matrix underflows to 0 nor its SVD sees an overflow
     _, _, pushed = _pushed("rh-line", 5)
     scaled = LieAlgebra(dim=5, c=s * pushed.c)
     assert derivation_basis(scaled).dim == derivation_basis(pushed).dim == 14
@@ -127,7 +119,6 @@ def test_leibniz_cap_refuses_before_allocating(monkeypatch):
         raise AssertionError("allocated before the size check")
 
     monkeypatch.setattr(derivations, "_leibniz_operator", refuse)
-    monkeypatch.setattr(derivations, "jacobi_defect", refuse)
     with pytest.raises(DimensionError, match="cap"):
         derivation_basis(build_family("rh-line", 25))
     # the largest CUSTOM and verify inputs stay far below it

@@ -33,6 +33,24 @@ def g_lambda(n, lam):
     return g
 
 
+def _from_triples(n, triples, s=1.0):
+    """Constants with [e_i, e_j] = s e_k for each 0-based (i, j, k)."""
+    c = np.zeros((n, n, n))
+    for i, j, k in triples:
+        c[i, j, k] = s
+        c[j, i, k] = -s
+    return c
+
+
+def _non_lie_4(s=1.0):
+    return _from_triples(4, ((0, 1, 2), (0, 2, 3), (2, 3, 1)), s)
+
+
+def _random_antisymmetric(n):
+    a = np.random.default_rng(0).standard_normal((n, n, n))
+    return a - a.transpose(1, 0, 2)
+
+
 class TestBuildFamily:
     def test_rh2_abelian_n3(self):
         alg = build_family("rh2+abelian", 3)
@@ -88,9 +106,10 @@ class TestBuildFamily:
         with pytest.raises(ShapeError, match="finite"):
             parse_structure_constants("3\n1 2 3 nan\n")
 
-    def test_antisymmetry_enforced(self):
+    @pytest.mark.parametrize("s", [1e-200, 1e-7, 1.0, 1e200])
+    def test_antisymmetry_enforced(self, s):
         c = np.zeros((3, 3, 3))
-        c[0, 1, 1] = 1.0  # missing the antisymmetric partner
+        c[0, 1, 1] = s  # missing the antisymmetric partner, at any scale
         with pytest.raises(ShapeError):
             LieAlgebra(dim=3, c=c)
 
@@ -98,6 +117,17 @@ class TestBuildFamily:
     def test_wrong_shape_rejected(self, shape):
         with pytest.raises(ShapeError, match="structure tensor must be"):
             LieAlgebra(dim=3, c=np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "c",
+        [pytest.param(_non_lie_4(), id="four-dim")]
+        + [pytest.param(_random_antisymmetric(n), id=f"random-{n}") for n in (3, 4, 6)],
+    )
+    def test_non_lie_constants_rejected(self, c):
+        # the constructor is the one Jacobi gate: nothing downstream
+        # (ricci_operator, change_basis, derivation_basis) sees these
+        with pytest.raises(ValueError, match="Jacobi"):
+            LieAlgebra(dim=len(c), c=c)
 
 
 def _pushed(family, n, seed):
@@ -212,9 +242,12 @@ class TestDimensionCaps:
         assert 8 * 53**4 <= lie_core.TENSOR_MAX_BYTES < 8 * 54**4
         with pytest.raises(DimensionError, match="cap"):
             parse_structure_constants("54\n")
+        # every user-built algebra, the abelian one too, goes through the gate
+        with pytest.raises(DimensionError, match="cap"):
+            LieAlgebra(dim=54, c=np.zeros((54, 54, 54)))
         monkeypatch.setattr(lie_core, "TENSOR_MAX_BYTES", 8 * 4**4 - 1)
         with pytest.raises(DimensionError, match="cap"):
-            jacobi_defect(LieAlgebra(dim=4, c=np.zeros((4, 4, 4))))
+            jacobi_defect(LieAlgebra._computed(np.zeros((4, 4, 4))))
         assert jacobi_defect(build_family("rh-line", 3)) == 0.0
 
 
@@ -248,11 +281,8 @@ class TestJacobiDefect:
         assert jacobi_defect(alg) == 0.0
 
     def test_non_lie_constants_have_positive_defect(self):
-        c = np.zeros((4, 4, 4))
-        for i, j, k in ((0, 1, 2), (0, 2, 3), (2, 3, 1)):
-            c[i, j, k] = 1.0
-            c[j, i, k] = -1.0
-        assert jacobi_defect(LieAlgebra(dim=4, c=c)) > 0.1
+        # the constructor refuses these, so the fixture is built as trusted
+        assert jacobi_defect(LieAlgebra._computed(_non_lie_4())) > 0.1
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_matches_the_three_term_sum(self, n):
@@ -268,7 +298,7 @@ class TestJacobiDefect:
             )
             # rounding bound of an n-term sum: BLAS orders the sums differently
             bound = 8 * n * np.finfo(float).eps * np.max(np.abs(c)) ** 2
-            got = jacobi_defect(LieAlgebra(dim=n, c=c))
+            got = jacobi_defect(LieAlgebra._computed(c))
             assert abs(got - float(np.max(np.abs(jac)))) <= bound
 
 
@@ -286,7 +316,8 @@ class TestChangeBasis:
         rng = np.random.default_rng(100 + n)
         c = rng.standard_normal((n, n, n))
         algs = [build_family(f, n) for f in ("rh2+abelian", "rh-line")]
-        algs.append(LieAlgebra(dim=n, c=c - c.transpose(1, 0, 2)))
+        # not a Lie algebra: only the trusted path admits it
+        algs.append(LieAlgebra._computed(c - c.transpose(1, 0, 2)))
         for alg in algs:
             for top in (1.0, 10.0, 1e3):
                 # P = Q1 diag(s) Q2 with cond(P) = top
@@ -382,18 +413,25 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="Jacobi"):
             parse_structure_constants(text)
 
-    @pytest.mark.parametrize("s", [1e-7, 1.0, 1e4])
+    @pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-170, 1e-7, 1.0, 1e4, 1e160, 1e300])
     def test_jacobi_gate_is_scale_free(self, s):
-        # the defect is quadratic in c: rescaling neither admits a non-Lie
-        # algebra nor refuses a Lie one
+        # the gate reads c / max|c|: rescaling neither admits a non-Lie
+        # algebra nor refuses a Lie one, and no product over- or underflows
         triples = ((1, 2, 3), (1, 3, 4), (3, 4, 2))
         bad_text = "4\n" + "".join(f"{i} {j} {k} {s!r}\n" for i, j, k in triples)
         with pytest.raises(ValueError, match="Jacobi"):
             parse_structure_constants(bad_text)
+        with pytest.raises(ValueError, match="Jacobi"):
+            LieAlgebra(dim=4, c=_non_lie_4(s))
         P = np.random.default_rng(3).uniform(-1.0, 1.0, size=(5, 5)) + 2.0 * np.eye(5)
         pushed = change_basis(build_family("rh-line", 5), P)
         text = format_structure_constants(LieAlgebra(dim=5, c=s * pushed.c))
         np.testing.assert_array_equal(parse_structure_constants(text).c, s * pushed.c)
+        so3 = _from_triples(3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)), s)
+        heisenberg_plus_r = _from_triples(4, ((0, 1, 2),), s)
+        for c in (so3, heisenberg_plus_r):
+            text = format_structure_constants(LieAlgebra(dim=len(c), c=c))
+            np.testing.assert_array_equal(parse_structure_constants(text).c, c)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

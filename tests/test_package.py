@@ -34,6 +34,11 @@ def test_cholesky_is_called_only_in_frame_reduction():
     assert _modules_calling({"cholesky"}) == {"frame_reduction.py"}
 
 
+def test_jacobi_defect_is_called_only_in_lie_core():
+    # one Lie gate: the LieAlgebra constructor checks every outside algebra
+    assert _modules_calling({"jacobi_defect"}) == {"lie_core.py"}
+
+
 def test_leibniz_svd_is_called_only_in_verify():
     # the families' Der(g) is printed in closed form; the SVD is verify's oracle
     assert _modules_calling({"derivation_basis"}) == {"verify.py"}
