@@ -9,16 +9,15 @@ signature-sweep, verify-paper.  Families are selected with
 Exit codes: 0 success, 1 validation error (bad flags, unreadable or
 malformed input, a non-finite --lambda or --tol, a negative --samples,
 dimension mismatch or out of range, failed verification), 2 numerical
-failure.  Except in verify-paper, ``--tol`` falls back to MILNOR_TOL,
-then to 1e-8.  JSON output is schema stable: keys are sorted and
-re-emitting a parsed report reproduces it byte for byte.
+failure.  ``--tol``, solvsoliton's residual threshold, defaults to 1e-8;
+no other subcommand takes it.  JSON output is schema stable: keys are
+sorted and re-emitting a parsed report reproduces it byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -46,7 +45,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser, metric: bool = False, lam: bool = False) -> None:
     p.add_argument("--family", required=True, choices=[f.value for f in FAMILIES])
     p.add_argument("--dim", required=True, type=int, metavar="N")
-    p.add_argument("--tol", type=float, default=None, metavar="T")
     p.add_argument("--json", action="store_true", dest="as_json")
     if metric or lam:
         group = p.add_mutually_exclusive_group(required=True)
@@ -66,7 +64,9 @@ def build_parser() -> _Parser:
     _add_common(sub.add_parser("reduce"), metric=True)
     _add_common(sub.add_parser("curvature"), lam=True)
     _add_common(sub.add_parser("derivations"))
-    _add_common(sub.add_parser("solvsoliton"), metric=True)
+    soliton = sub.add_parser("solvsoliton")
+    _add_common(soliton, metric=True)
+    soliton.add_argument("--tol", type=float, default=DEFAULT_TOL, metavar="T")
 
     sweep = sub.add_parser("signature-sweep")
     _add_common(sweep)
@@ -76,16 +76,6 @@ def build_parser() -> _Parser:
     vp = sub.add_parser("verify-paper")
     vp.add_argument("--json", action="store_true", dest="as_json")
     return parser
-
-
-def _tol(args: argparse.Namespace) -> float:
-    """--tol, else MILNOR_TOL, else DEFAULT_TOL."""
-    tol = args.tol
-    if tol is None:
-        tol = float(os.environ.get("MILNOR_TOL", DEFAULT_TOL))
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    return tol
 
 
 def _emit(payload: dict | list, args: argparse.Namespace, text_lines: list[str]) -> str:
@@ -244,21 +234,10 @@ _DISPATCH = {
 }
 
 
-def run(args: argparse.Namespace) -> tuple[int, str]:
-    """Dispatch the namespace ``build_parser().parse_args`` returns.
-
-    ``args.tol`` is resolved and checked first, for every subcommand
-    that defines ``--tol``; returns (exit code, report text).
-    """
-    if hasattr(args, "tol"):
-        args.tol = _tol(args)
-    return _DISPATCH[args.subcommand](args)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code, text = run(args)
+        code, text = _DISPATCH[args.subcommand](args)
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -108,9 +108,10 @@ def riemann(gam: np.ndarray, g: LieAlgebra) -> np.ndarray:
 
 
 def _ricci_matrix(g: LieAlgebra) -> np.ndarray:
-    R = riemann(levi_civita(g), g)
-    # Ric(x_a) = sum_i R(x_a, x_i) x_i; column a holds its coordinates.
-    return np.einsum("aiil->la", R)
+    # Ric(x_a) = sum_i R(x_a, x_i) x_i; column a holds its coordinates.  An
+    # overflow is left to jacobi_eigh, which refuses a non-finite Ric.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.einsum("aiil->la", riemann(levi_civita(g), g))
 
 
 def _report(ric: np.ndarray) -> RicciReport:

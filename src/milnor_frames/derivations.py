@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .lie_core import LieAlgebra, _checked_family, _freeze, _refuse_above_cap
+from .lie_core import LieAlgebra, _checked_family, _checked_tol, _freeze, _refuse_above_cap
 
 GRAM_RTOL = 1e-10  # relative to sigma_max^2: rank counts sigma >= 1e-5 sigma_max of L
 NULLSPACE_RTOL = 1e-9  # relative to sigma_max: the bound on ||L Z^T||_F the null block must meet
@@ -138,8 +138,10 @@ def is_derivation(g: LieAlgebra, D: np.ndarray, tol: float) -> tuple[bool, float
     The defect is the max over all (i, j, k) of the k-th component of
     D[e_i,e_j] - [De_i,e_j] - [e_i,De_j].  Two matrix products give it:
     t = D^T c is [De_i, e_j], and since c is antisymmetric, [e_i, De_j]
-    is -t with i and j swapped.
+    is -t with i and j swapped.  ``tol``, an absolute bound on the defect,
+    must be positive and finite (``ValueError``).
     """
+    _checked_tol(tol)
     D = np.asarray(D, dtype=float)
     n = g.dim
     if D.shape != (n, n):

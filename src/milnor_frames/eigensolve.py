@@ -2,11 +2,11 @@
 
 Small dense symmetric matrices are all this package ever diagonalizes,
 and only their eigenvalues are ever read.  ``jacobi_eigh`` is
-``numpy.linalg.eigvalsh`` (LAPACK ``syevd``, O(n^3)) plus the input
-checks that function lacks: it returns ``[0, -0]`` for a NaN entry
-instead of raising, so a non-finite entry or Frobenius norm raises
-``numpy.linalg.LinAlgError`` here.  A finite Frobenius norm bounds every
-eigenvalue, so the check covers the output too.
+``numpy.linalg.eigvalsh`` (LAPACK ``syevd``, O(n^3)) plus the checks
+that function lacks: it returns ``[0, -0]`` for a NaN entry instead of
+raising, and ``inf`` for an eigenvalue past the float range, so a
+non-finite entry or eigenvalue raises ``numpy.linalg.LinAlgError``
+here.  Every finite matrix is diagonalized, however large its entries.
 
 ``curvature._report`` is the one caller in the package.  The name, left
 from an earlier cyclic Jacobi iteration, stays because ``perfbench``
@@ -27,14 +27,15 @@ def jacobi_eigh(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending.
 
     Raises ``ShapeError`` on a non-square input and
-    ``numpy.linalg.LinAlgError`` on a non-finite entry or Frobenius norm.
+    ``numpy.linalg.LinAlgError`` on a non-finite entry or eigenvalue.
     """
     A = np.asarray(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError(f"expected a square matrix, got {A.shape}")
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(A, "fro")
-    if not np.isfinite(norm):
-        raise np.linalg.LinAlgError(f"matrix has a non-finite entry or norm ({norm})")
-    return np.linalg.eigvalsh(A)
+    if not np.isfinite(A).all():
+        raise np.linalg.LinAlgError("matrix has a non-finite entry")
+    w = np.linalg.eigvalsh(A)
+    if not np.isfinite(w).all():
+        raise np.linalg.LinAlgError("an eigenvalue overflows to a non-finite value")
+    return w
 

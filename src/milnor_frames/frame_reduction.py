@@ -45,7 +45,8 @@ import numpy as np
 from .derivations import _forbidden_mask
 from .errors import NotPositiveDefiniteError, ShapeError, SingularMatrixError
 from .lie_core import (
-    SINGULAR_RTOL, LieAlgebra, _checked_family, _freeze, _push_lower, change_basis, milnor_pattern,
+    SINGULAR_RTOL, LieAlgebra, _checked_family, _checked_tol, _freeze, _push_lower, change_basis,
+    milnor_pattern,
 )
 
 DEFAULT_TOL = 1e-8
@@ -209,7 +210,9 @@ def orbit_parameter_equal(
     to isometry and scaling are {g_λ : λ >= 0}), equal λ implies the
     same scaled automorphism orbit, but no certificate φ with
     φ^T G1 φ proportional to G2 is computed yet (ROADMAP item 7).
+    ``tol`` must be positive and finite (``ValueError``).
     """
+    _checked_tol(tol)
     return abs(_frame_parameter(g_alg, G1)[0] - _frame_parameter(g_alg, G2)[0]) <= tol
 
 
@@ -221,10 +224,12 @@ def validate_aut_element(g_alg: LieAlgebra, M: np.ndarray, tol: float = DEFAULT_
     satisfies φ[x, y] = [φ x, φ y] over all basis pairs, and is invertible
     (the singular-value test of ``change_basis``).  Zero entries and the
     equation defect are held to one bound, tol max|φ|, which φ_11 = 1 must
-    exceed, so s M gets the verdict of M for every scalar s != 0.  Refuses
-    CUSTOM algebras, even pushed families, whose bases the pattern misses.
+    exceed, so s M gets the verdict of M for every scalar s != 0; ``tol``
+    must be positive and finite (``ValueError``).  Refuses CUSTOM algebras,
+    even pushed families, whose bases the pattern misses.
     """
     _checked_family(g_alg.family_tag, g_alg.dim)
+    _checked_tol(tol)
     M = np.asarray(M, dtype=float)
     n = g_alg.dim
     if M.shape != (n, n):

@@ -23,7 +23,8 @@ raises ``ShapeError``.
 
 ``LieAlgebra(...)`` takes no family tag and is always CUSTOM: only
 :func:`build_family` sets one, and one guard, ``_checked_family``,
-refuses every other tag for the family-only operations.
+refuses every other tag for the family-only operations.  Likewise
+``_checked_tol`` is the one check of a caller's tolerance.
 """
 
 from __future__ import annotations
@@ -147,6 +148,12 @@ def _checked_family(family_tag: Family | str, n: int, lam: float = 0.0) -> Famil
     if not 0.0 <= lam < np.inf:
         raise ValueError(f"frame parameter must be finite and nonnegative, got {lam}")
     return family
+
+
+def _checked_tol(tol: float) -> None:
+    """Refuse a tolerance that is NaN, infinite or not positive."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
 
 def _canonical_constants(family: Family, n: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from .curvature import _closed_form_matrix
 from .derivations import DerivationBasis, _forbidden_mask
 from .errors import ShapeError
 from .frame_reduction import DEFAULT_TOL, _frame_parameter
-from .lie_core import LieAlgebra, _freeze
+from .lie_core import LieAlgebra, _checked_tol, _freeze
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def _verdict(
     )
 
 
-def _family_fit(ric: np.ndarray, lam: float, tol: float = DEFAULT_TOL) -> SolitonVerdict:
+def _family_fit(ric: np.ndarray, lam: float, tol: float) -> SolitonVerdict:
     """The fit of ``solvsoliton_solve`` against the families' conjugated
     Der(g), in closed form.
 
@@ -147,7 +147,10 @@ def classify_metric(
     on the conjugated Der(g) gives the same fit; it serves CUSTOM algebras,
     which are refused here, and is the oracle for this one in ``verify``.
     Returns the verdict with λ; it is solvsoliton exactly when λ = 0.
+    ``tol``, the relative residual threshold, must be positive and finite
+    (``ValueError``).
     """
+    _checked_tol(tol)
     lam = _frame_parameter(g_alg, G)[0]
     ric = _closed_form_matrix(g_alg.family_tag, g_alg.dim, lam)
     return _family_fit(ric, lam, tol), lam

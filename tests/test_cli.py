@@ -186,40 +186,31 @@ def test_bad_flags_exit_1():
     assert excinfo.value.code == 1
 
 
-def test_env_var_tolerance(monkeypatch, capsys):
-    monkeypatch.setenv("MILNOR_TOL", "1e-4")
-    code, out, _ = run_cli(
-        ["reduce", "--family", "rh-line", "--dim", "3", "--random", "2", "--json"], capsys
-    )
-    assert code == 0
-
-    for bad in ("-1", "inf"):
-        monkeypatch.setenv("MILNOR_TOL", bad)
-        code, _, err = run_cli(
-            ["reduce", "--family", "rh-line", "--dim", "3", "--random", "2"], capsys
-        )
-        assert code == 1
-        assert "positive" in err
-
-    monkeypatch.setenv("MILNOR_TOL", "not-a-number")
-    code, _, err = run_cli(
-        ["reduce", "--family", "rh-line", "--dim", "3", "--random", "2"], capsys
-    )
-    assert code == 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--family", "rh-line", "--dim", "4", "--random", "3"],
+        ["curvature", "--family", "rh-line", "--dim", "4", "--lambda", "1"],
+        ["derivations", "--family", "rh-line", "--dim", "4"],
+        ["signature-sweep", "--family", "rh-line", "--dim", "4"],
+    ],
+    ids=["reduce", "curvature", "derivations", "signature-sweep"],
+)
+def test_tol_is_a_solvsoliton_flag_only(argv, capsys):
+    # no other subcommand reads a tolerance, so none accepts one
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--tol", "1e-3"])
+    assert excinfo.value.code == 1
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
-def test_verify_paper_ignores_the_env_tolerance(monkeypatch, capsys):
-    # verify-paper has no --tol, so a bad MILNOR_TOL must not stop it
-    from milnor_frames import cli as cli_mod
-    from milnor_frames.verify import CriterionResult
-
-    fake = [CriterionResult(name="alpha", passed=True, detail="ok", elapsed=0.1)]
-    monkeypatch.setattr(cli_mod.verify_mod, "run_all", lambda: fake)
-    for bad in ("nan", "-1", "not-a-number"):
-        monkeypatch.setenv("MILNOR_TOL", bad)
-        code, out, err = run_cli(["verify-paper", "--json"], capsys)
-        assert code == 0, err
-        assert json.loads(out)[0]["name"] == "alpha"
+@pytest.mark.parametrize("bad", ["nan", "-1", "not-a-number"])
+def test_the_environment_sets_no_tolerance(bad, monkeypatch, capsys):
+    argv = ["solvsoliton", "--family", "rh-line", "--dim", "4", "--random", "3", "--json"]
+    want = run_cli(argv, capsys)
+    monkeypatch.setenv("MILNOR_TOL", bad)
+    assert run_cli(argv, capsys) == want
+    assert want[0] == 0
 
 
 def test_numerical_failure_maps_to_exit_2(monkeypatch, capsys):
@@ -392,3 +383,11 @@ def test_gram_gate_holds_at_both_ends_of_the_float_range(s, tmp_path, capsys):
     code, out, _ = run_cli(["solvsoliton", *argv], capsys)
     assert code == 0
     assert _strict_json(out)["lambda"] == 0.0
+    # Ric = Ric(I) / s overflows below s = 1e-307, and is refused in one line
+    code, out, err = run_cli(["curvature", *argv], capsys)
+    if s <= 5e-309:
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("numerical failure:")
+    else:
+        assert code == 0
+        assert _strict_json(out)["signature"] == [3, 1, 0]

@@ -72,11 +72,21 @@ class TestJacobiEigensolver:
         with pytest.raises(ShapeError):
             jacobi_eigh(np.ones((2, 3)))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_raises(self, bad):
-        # eigvalsh returns [0, -0] for a NaN entry; 1e300 overflows the norm
+        # eigvalsh returns [0, -0] for a NaN entry
         with pytest.raises(np.linalg.LinAlgError, match="finite"):
             jacobi_eigh(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+    def test_large_finite_input_is_diagonalized(self):
+        # its Frobenius norm would overflow; the entries do not (LAPACK rescales)
+        w = jacobi_eigh(np.array([[1e300, 0.0], [0.0, 1.0]]))
+        assert list(w) == pytest.approx([1.0, 1e300], rel=1e-15)
+
+    def test_overflowing_spectrum_raises(self):
+        # finite entries whose largest eigenvalue, 3e308, is past the float range
+        with pytest.raises(np.linalg.LinAlgError, match="finite"):
+            jacobi_eigh(np.full((2, 2), 1.5e308))
 
 
 class TestConnection:

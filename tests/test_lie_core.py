@@ -14,10 +14,14 @@ from milnor_frames import (
     bracket,
     build_family,
     change_basis,
+    classify_metric,
     format_structure_constants,
+    is_derivation,
     jacobi_defect,
     milnor_pattern,
+    orbit_parameter_equal,
     parse_structure_constants,
+    validate_aut_element,
 )
 
 
@@ -249,6 +253,23 @@ class TestDimensionCaps:
         with pytest.raises(DimensionError, match="cap"):
             jacobi_defect(LieAlgebra._computed(np.zeros((4, 4, 4))))
         assert jacobi_defect(build_family("rh-line", 3)) == 0.0
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, I, tol: classify_metric(g, I, tol=tol),
+        lambda g, I, tol: orbit_parameter_equal(g, I, I, tol=tol),
+        lambda g, I, tol: validate_aut_element(g, I, tol=tol),
+        lambda g, I, tol: is_derivation(g, 0 * I, tol),
+    ],
+    ids=["classify_metric", "orbit_parameter_equal", "validate_aut_element", "is_derivation"],
+)
+def test_every_tolerance_reader_refuses_a_bad_tolerance(call, tol):
+    # one check, _checked_tol, in each function that reads a tolerance
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        call(build_family("rh-line", 4), np.eye(4), tol)
 
 
 class TestJacobiDefect:

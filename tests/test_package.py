@@ -42,3 +42,17 @@ def test_jacobi_defect_is_called_only_in_lie_core():
 def test_leibniz_svd_is_called_only_in_verify():
     # the families' Der(g) is printed in closed form; the SVD is verify's oracle
     assert _modules_calling({"derivation_basis"}) == {"verify.py"}
+
+
+def test_no_module_reads_the_environment():
+    # every setting is a flag or an argument: os.environ and getenv appear nowhere
+    src = Path(milnor_frames.__file__).parent
+    readers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [node.attr] if isinstance(node, ast.Attribute) else []
+            names += [node.id] if isinstance(node, ast.Name) else []
+            names += [alias.name for alias in getattr(node, "names", [])]
+            if {"environ", "environb", "getenv", "getenvb"} & set(names):
+                readers.add(path.name)
+    assert readers == set()

@@ -16,7 +16,7 @@ from milnor_frames import (
     solvsoliton_solve,
 )
 from milnor_frames.derivations import family_derivation_basis
-from milnor_frames.frame_reduction import LAMBDA_SNAP
+from milnor_frames.frame_reduction import DEFAULT_TOL, LAMBDA_SNAP
 
 
 def test_family1_flat_metric_is_soliton():
@@ -223,7 +223,7 @@ def test_family_fit_matches_the_dense_solve(n, lam):
     for _ in range(3):
         A = rng.standard_normal((n, n))
         ric = A + A.T
-        got = _family_fit(ric, lam)
+        got = _family_fit(ric, lam, DEFAULT_TOL)
         want = solvsoliton_solve(ric, basis)
         scale = np.linalg.norm(ric)
         assert got.is_solvsoliton == want.is_solvsoliton
@@ -245,7 +245,7 @@ def test_family_fit_residual_formulas(family, n, lam):
 
     ric = closed_form_ricci(family, n, lam).ric
     want = _soliton_residual_formula(Family(family), n, lam)
-    got = _family_fit(ric, lam)
+    got = _family_fit(ric, lam, DEFAULT_TOL)
     assert abs(got.residual - want) <= 1e-14 * np.linalg.norm(ric)
     assert got.is_solvsoliton == (lam == 0.0)
 
