@@ -21,10 +21,9 @@ operator is also available in closed form:
   λ²/2 - (n-2)) plus the symmetric coupling (n-1)λ/2 in positions
   (2, n) and (n, 2).
 
-Every eigenvalue in the package comes from one place, ``_report``: it
-calls ``eigensolve.jacobi_eigh``, which is LAPACK's ``eigvalsh`` (the
-eigenvalues alone, no eigenvectors) behind finiteness checks, and counts
-the signature from them; the public ``signature`` runs through it too.
+Every eigenvalue comes from ``eigensolve.jacobi_eigh`` (LAPACK's
+``eigvalsh`` behind finiteness checks) and every signature from
+``_signature``, both in ``_report`` and in the public ``signature``.
 ``ricci_operator`` keeps its ``change_basis``, ``riemann`` and
 ``jacobi_eigh`` steps by name because ``perfbench`` traces them as its
 layers, until the benchmark re-defines those layers (ROADMAP item 1,
@@ -108,25 +107,28 @@ def riemann(gam: np.ndarray, g: LieAlgebra) -> np.ndarray:
 
 
 def _ricci_matrix(g: LieAlgebra) -> np.ndarray:
-    # Ric(x_a) = sum_i R(x_a, x_i) x_i; column a holds its coordinates.  An
-    # overflow is left to jacobi_eigh, which refuses a non-finite Ric.
+    # Ric(x_a) = sum_i R(x_a, x_i) x_i in column a; jacobi_eigh refuses an overflow
     with np.errstate(over="ignore", invalid="ignore"):
         return np.einsum("aiil->la", riemann(levi_civita(g), g))
 
 
 def _report(ric: np.ndarray) -> RicciReport:
-    """The eigen step: eigenvalues and the signature, whose zero band is
-    ``SIGNATURE_TOL`` times the spectral radius."""
+    """The eigen step: eigenvalues, signature and scalar curvature.  A trace
+    that overflows, which finite entries and eigenvalues allow, is refused."""
     w = jacobi_eigh(ric)
+    with np.errstate(over="ignore"):
+        scalar = float(np.trace(ric))
+    if not np.isfinite(scalar):
+        raise np.linalg.LinAlgError("the scalar curvature overflows to a non-finite value")
+    return RicciReport(ric=ric, eigenvalues=w, signature=_signature(w), scalar_curvature=scalar)
+
+
+def _signature(w: np.ndarray) -> tuple[int, int, int]:
+    """Counts of w below, inside and above the band SIGNATURE_TOL * max|w|."""
     band = SIGNATURE_TOL * float(np.max(np.abs(w)))
     neg = int(np.sum(w < -band))
     pos = int(np.sum(w > band))
-    return RicciReport(
-        ric=ric,
-        eigenvalues=w,
-        signature=(neg, len(w) - neg - pos, pos),
-        scalar_curvature=float(np.trace(ric)),
-    )
+    return neg, len(w) - neg - pos, pos
 
 
 def ricci_operator(g: LieAlgebra, G: np.ndarray) -> RicciReport:
@@ -182,4 +184,4 @@ def signature(sym: np.ndarray) -> tuple[int, int, int]:
     scale = float(np.max(np.abs(A))) or 1.0
     if np.max(np.abs(A - A.T)) > SIGNATURE_TOL * scale:
         raise ShapeError("matrix is not symmetric within tolerance")
-    return _report(0.5 * (A + A.T)).signature
+    return _signature(jacobi_eigh(0.5 * A + 0.5 * A.T))

@@ -8,8 +8,8 @@ raising, and ``inf`` for an eigenvalue past the float range, so a
 non-finite entry or eigenvalue raises ``numpy.linalg.LinAlgError``
 here.  Every finite matrix is diagonalized, however large its entries.
 
-``curvature._report`` is the one caller in the package.  The name, left
-from an earlier cyclic Jacobi iteration, stays because ``perfbench``
+``curvature`` is the one module that calls it.  The name, left from
+an earlier cyclic Jacobi iteration, stays because ``perfbench``
 traces it as the eigen layer of ``ricci_operator``; it goes when that
 layer is re-defined (ROADMAP item 1, step 1).  ``frame_reduction``
 reads its condition number off the singular values of the Gram matrix's

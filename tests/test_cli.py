@@ -367,7 +367,7 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-@pytest.mark.parametrize("s", [1e-320, 1e-315, 5e-309, 1e-300, 1e300, 1e308])
+@pytest.mark.parametrize("s", [1e-320, 1e-315, 5e-309, 3e-308, 1e-300, 1e300, 1e308])
 def test_gram_gate_holds_at_both_ends_of_the_float_range(s, tmp_path, capsys):
     # G = s I: symmetric and definite at every s; only k = g_11^2 = 1/s can overflow
     path = tmp_path / "metric.txt"
@@ -383,9 +383,10 @@ def test_gram_gate_holds_at_both_ends_of_the_float_range(s, tmp_path, capsys):
     code, out, _ = run_cli(["solvsoliton", *argv], capsys)
     assert code == 0
     assert _strict_json(out)["lambda"] == 0.0
-    # Ric = Ric(I) / s overflows below s = 1e-307, and is refused in one line
+    # Ric = diag(-2, 0, -2, -2) / s: the trace -6/s overflows below s = 3.3e-308,
+    # the entries below 1.1e-308, and either is refused in one line
     code, out, err = run_cli(["curvature", *argv], capsys)
-    if s <= 5e-309:
+    if s <= 3e-308:
         assert code == 2 and out == "" and len(err.splitlines()) == 1
         assert err.startswith("numerical failure:")
     else:

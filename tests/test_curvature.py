@@ -299,10 +299,27 @@ class TestSignature:
         with pytest.raises(ShapeError):
             signature(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_needs_no_finite_trace(self):
+        # the trace 2e308 overflows; the signature reads the eigenvalues alone
+        assert signature(np.diag([1e308, 1e308])) == (0, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "family, n, s",
+    [("rh-line", 4, 3e-308), ("rh-line", 12, 1e-307), ("rh2+abelian", 3, 1e-308)],
+)
+def test_overflowing_scalar_curvature_is_refused(family, n, s):
+    # Ric = Ric(I) / s: every entry and eigenvalue is finite, the trace is not
+    rep = ricci_operator(build_family(family, n), np.eye(n))
+    assert np.isfinite(rep.ric / s).all() and not np.isfinite(rep.scalar_curvature / s)
+    with pytest.raises(np.linalg.LinAlgError, match="scalar curvature overflows"):
+        ricci_operator(build_family(family, n), s * np.eye(n))
+
+
 
 class TestOneEigenPath:
-    """Every eigenvalue comes from ``curvature._report``'s one
-    ``jacobi_eigh`` call."""
+    """Every eigenvalue comes from one ``jacobi_eigh`` call in
+    ``curvature``, per report and per ``signature``."""
 
     @staticmethod
     def count_calls(monkeypatch):
