@@ -26,8 +26,8 @@ Every eigenvalue comes from ``eigensolve.jacobi_eigh`` (LAPACK's
 ``_signature``, both in ``_report`` and in the public ``signature``.
 ``ricci_operator`` keeps its ``change_basis``, ``riemann`` and
 ``jacobi_eigh`` steps by name because ``perfbench`` traces them as its
-layers, until the benchmark re-defines those layers (ROADMAP item 1,
-step 1); ``riemann`` refuses dimensions whose n^4-entry tensor would
+layers, until the benchmark re-defines those layers (ROADMAP item 1);
+``riemann`` refuses dimensions whose n^4-entry tensor would
 exceed ``TENSOR_MAX_BYTES``, and that tensor is the only array it
 allocates that grows as n^4: the other terms go through a buffer of
 128 KiB or one n^3-entry slab.

@@ -1,36 +1,24 @@
 """Derivation algebras Der(g): a numerical null space, and the families' closed form.
 
-A derivation is a linear map D with D[x, y] = [Dx, y] + [x, Dy].  The
-defect of that identity over all basis pairs is a linear function of D,
-so Der(g) is the null space of a fixed matrix L.  L and its n^2 x n^2
-Gram matrix L^T L have the same right singular vectors, and the Gram's
-singular values are L's squared, so we take one symmetric SVD of L^T L
-and keep the vectors whose squared singular values fall below
-``GRAM_RTOL`` times the largest one.  The Gram cannot resolve singular
-values of L much below 1e-5 of the largest, so the kept block Z is then
-certified on L itself: ||L Z^T||_F must stay within ``NULLSPACE_RTOL``
-of L's largest singular value, or the rank is refused as unresolved.
-The resulting basis matrices are orthonormal in the Frobenius inner
-product.  L is built from c / max|c|; c is Lie already, as the
-``LieAlgebra`` constructor is the one Jacobi gate.
+A derivation is a linear map D with D[x, y] = [Dx, y] + [x, Dy].  Its
+defect over the basis pairs i < j is linear in D, so Der(g) is the null
+space of a Leibniz matrix L.  L is never formed: ``_leibniz_gram``
+assembles its n^2 x n^2 Gram matrix from c / max|c| in n^4 memory, one
+symmetric SVD of that keeps the vectors with squared singular values
+below ``GRAM_RTOL`` of the largest, and ``_leibniz_defect`` certifies
+them on L itself, since the Gram cannot resolve singular values of L
+much below 1e-5 of the largest.  c is Lie already: the ``LieAlgebra``
+constructor is the one Jacobi gate.  This null space serves CUSTOM
+algebras, and in ``verify`` it is the oracle for the closed form.
 
-For the two built-in families the answer has a rigid shape: the first
-row vanishes, row 2 is supported on columns 1..2, column 2 vanishes
-below row 2, and the trailing (n-2) x (n-2) block is free, giving
-dimension (n-2)^2 + n.  ``family_derivation_basis`` builds that space
-directly as elementary matrices, with no SVD, and ``pattern_check``
-tests a computed basis against the pattern itself.
-
-Which path serves whom: ``classify_metric`` needs no basis at all, since
-its closed-form fit reads the same free pattern (``_forbidden_mask``);
-``family_derivation_basis`` serves the CLI ``derivations`` subcommand
-and, with ``conjugated_derivation_basis``, the dense ``solvsoliton_solve``
-that is the fit's oracle.  The null space of ``derivation_basis`` serves
-CUSTOM algebras, and in ``verify`` it is the independent oracle that
-certifies the closed form.
-The Leibniz matrix L, built on the pairs i < j, has n^4(n-1)/2 entries;
-its Gram matrix is n^2 x n^2 at every n.  ``derivation_basis`` refuses
-n > 24 (n^5 over ``TENSOR_MAX_BYTES``).
+For the two built-in families Der(g) has a rigid shape: the first row
+vanishes, row 2 is supported on columns 1..2, column 2 vanishes below
+row 2, and the trailing (n-2) x (n-2) block is free, giving dimension
+(n-2)^2 + n.  ``family_derivation_basis`` builds it as elementary
+matrices, with no SVD, for the CLI ``derivations`` subcommand and, with
+``conjugated_derivation_basis``, for the dense ``solvsoliton_solve``;
+``classify_metric``'s fit reads the pattern itself (``_forbidden_mask``),
+and ``pattern_check`` tests a computed basis against it.
 """
 
 from __future__ import annotations
@@ -45,6 +33,7 @@ from .lie_core import LieAlgebra, _checked_family, _checked_tol, _freeze, _refus
 GRAM_RTOL = 1e-10  # relative to sigma_max^2: rank counts sigma >= 1e-5 sigma_max of L
 NULLSPACE_RTOL = 1e-9  # relative to sigma_max: the bound on ||L Z^T||_F the null block must meet
 PATTERN_TOL = 1e-8
+_DEFECT_ENTRIES = 1 << 14  # certificate chunk (or one n^3 slab): stays in cache, 2.7x faster at n = 12
 
 
 @dataclass(frozen=True)
@@ -73,83 +62,92 @@ class DerivationBasis:
         return self.mats.shape[1]
 
 
-def _leibniz_operator(g: LieAlgebra) -> np.ndarray:
-    """Matrix of D -> (D[e_i,e_j] - [De_i,e_j] - [e_i,De_j]) over pairs i<j."""
-    n = g.dim
-    c = g.c
-    iu, ju = np.triu_indices(n, k=1)
-    pairs = np.arange(len(iu))
-    # L[p, k, a, b] is the coefficient of D[a,b] in the k-th component of
-    # the defect of pair p = (i, j): c[i,j,b] where a = k, minus
-    # c[a,j,k] where b = i and c[i,a,k] where b = j.
-    L = np.zeros((len(iu), n, n, n))
-    L[:, np.arange(n), np.arange(n), :] = c[iu, ju][:, None, :]
-    L[pairs, :, :, iu] -= c[:, ju, :].transpose(1, 2, 0)
-    L[pairs, :, :, ju] -= c[iu].transpose(0, 2, 1)
-    return L.reshape(len(iu) * n, n * n)
+def _leibniz_gram(c: np.ndarray) -> np.ndarray:
+    """L^T L from c in n^4 memory, without L's n^4(n-1)/2 entries.  The
+    defect matrix J over all pairs (i, j) has J^T J = 2 L^T L, and
+    L^T L = (I (x) A)/2 + (B (x) I) - (E + E^T) + F, with A = C1^T C1 and
+    B = C0 C0^T (C1 = c.reshape(n^2, n), C0 = c.reshape(n, n^2)),
+    E[a,b,a',b'] = sum_j c[b',j,b] c[a',j,a] and F[a,b,a',b'] =
+    sum_k c[a,b',k] c[b,a',k]: two (n^2, n) x (n, n^2) products and two
+    diagonal-block adds."""
+    n = c.shape[0]
+    c0, c1 = c.reshape(n, n * n), c.reshape(n * n, n)
+    cj = c.transpose(0, 2, 1).reshape(n * n, n)  # cj[(a, b), j] = c[a, j, b]
+    h = (c1 @ c1.T).reshape(n, n, n, n)  # F is h with its axes permuted
+    e = (cj @ cj.T).reshape(n, n, n, n)  # E and E^T are e with its axes permuted
+    gram = h.transpose(0, 2, 3, 1) - e.transpose(1, 3, 0, 2) - e.transpose(0, 2, 1, 3)
+    diag = np.arange(n)
+    gram[diag, :, diag, :] += 0.5 * (c1.T @ c1)
+    gram[:, diag, :, diag] += c0 @ c0.T
+    return gram.reshape(n * n, n * n)
+
+
+def _leibniz_defect(c: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """D[e_i,e_j] - [De_i,e_j] - [e_i,De_j], component k, over all (i, j, k)
+    for each D of an (m, n, n) stack Z: an (m, n, n, n) array whose
+    Frobenius norm is sqrt(2) ||L Z^T||_F.  C1 D^T is the first term and
+    t = D^T C0 is [De_i, e_j]; c is antisymmetric, so [e_i, De_j] is -t
+    with i and j swapped."""
+    n = c.shape[0]
+    dt = mats.transpose(0, 2, 1)
+    out = np.matmul(c.reshape(n * n, n), dt).reshape(-1, n, n, n)
+    t = np.matmul(dt, c.reshape(n, n * n)).reshape(-1, n, n, n)
+    out -= t
+    out += t.transpose(0, 2, 1, 3)
+    return out
 
 
 def derivation_basis(g: LieAlgebra) -> DerivationBasis:
     """Compute an orthonormal basis of Der(g).
 
-    One symmetric SVD of the n^2 x n^2 Gram matrix L^T L of the Leibniz
-    matrix L (numpy's ``eigh`` underneath), the same at every n: no QR
-    and no size switch.  Singular values sigma of L with sigma^2 below
-    ``GRAM_RTOL`` sigma_max^2 count as null, and the null block Z must
-    then meet ||L Z^T||_F <= ``NULLSPACE_RTOL`` sigma_max; otherwise
-    ``np.linalg.LinAlgError`` ("rank of the Leibniz matrix unresolved")
-    is raised.  So a singular value in (1e-9, 1e-5) sigma_max is refused,
-    never silently counted on either side.
+    One symmetric SVD of the n^2 x n^2 Gram matrix L^T L (numpy's
+    ``eigh`` underneath) at every n: no QR, no L and no size switch.
+    Singular values sigma of L with sigma^2 below ``GRAM_RTOL``
+    sigma_max^2 count as null, and the null block Z must then meet
+    ||L Z^T||_F <= ``NULLSPACE_RTOL`` sigma_max, its Leibniz defect taken
+    about ``_DEFECT_ENTRIES`` entries at a time, or ``np.linalg.LinAlgError``
+    ("rank of the Leibniz matrix unresolved") is raised: a singular value
+    in (1e-9, 1e-5) sigma_max is refused, never counted on either side.
+    The residual is a backward error on L; the span's forward error grows
+    like eps (sigma_max / sigma_r)^2 (sigma_r the smallest nonzero
+    singular value), where an SVD of L gives eps sigma_max / sigma_r.
 
-    Accuracy: the residual above is a backward error on L itself, but the
-    forward error of the span grows like eps (sigma_max / sigma_r)^2, with
-    sigma_r the smallest nonzero singular value, where an SVD of L gives
-    eps sigma_max / sigma_r.  Over 40 families (n = 4..8) pushed through
-    bases P of fixed cond(P), the span projector stays within 2.9e-9 of
-    the SVD of L's at cond(P) = 1e4 and within 2.5e-7 at 1e6, and the
-    residual within 1.3e-11 sigma_max; at cond(P) = 1e6, 3 of the 40 are
-    refused where an SVD of L still reads the right dimension (none at
-    1e5 or below).
-
-    L is built from c / max|c|, so Der(s c) = Der(c) at every float scale.
-    The abelian algebra returns the full n^2-dimensional matrix space.
-    Raises ``DimensionError`` before allocating anything of size n^4 or
-    more when n^5 entries, a bound on L, would exceed ``TENSOR_MAX_BYTES``.
+    Both steps take c / max|c|, so Der(s c) = Der(c) at every float
+    scale; the abelian algebra gives all n^2 matrices.  Raises
+    ``DimensionError`` before allocating when n > 24: n^5 entries, the
+    bound kept on the n^2 x n^2 eigen step, would exceed ``TENSOR_MAX_BYTES``.
     """
     n = g.dim
-    _refuse_above_cap("the Leibniz tensor of Der(g) by SVD", n, 5)
-    top = float(np.max(np.abs(g.c)))
-    L = _leibniz_operator(LieAlgebra._computed(g.c / (top or 1.0)))
-    _, s2, vt = np.linalg.svd(L.T @ L, hermitian=True)
+    _refuse_above_cap("the n^2 x n^2 eigen step of Der(g), sized as a tensor that", n, 5)
+    c = g.c / (float(np.max(np.abs(g.c))) or 1.0)
+    _, s2, vt = np.linalg.svd(_leibniz_gram(c), hermitian=True)
     smax = np.sqrt(s2[0]) if s2[0] > 0 else 1.0
-    null = vt[int(np.sum(s2 >= GRAM_RTOL * smax**2)):]
-    residual = float(np.linalg.norm(L @ null.T))
+    null = vt[int(np.sum(s2 >= GRAM_RTOL * smax**2)):].reshape(-1, n, n)
+    chunk = max(1, _DEFECT_ENTRIES // n**3)
+    parts = (_leibniz_defect(c, null[s : s + chunk]) for s in range(0, len(null), chunk))
+    residual = np.sqrt(0.5 * sum(float(np.vdot(d, d)) for d in parts))
     if residual > NULLSPACE_RTOL * smax:
         raise np.linalg.LinAlgError(
             f"rank of the Leibniz matrix unresolved: null-space residual {residual:.2e} "
             f"exceeds {NULLSPACE_RTOL:g} of its largest singular value {smax:.2e}"
         )
-    return DerivationBasis(mats=null.reshape(-1, n, n))
+    return DerivationBasis(mats=null)
 
 
 def is_derivation(g: LieAlgebra, D: np.ndarray, tol: float) -> tuple[bool, float]:
     """Check the Leibniz rule for one matrix; returns (verdict, defect).
 
     The defect is the max over all (i, j, k) of the k-th component of
-    D[e_i,e_j] - [De_i,e_j] - [e_i,De_j].  Two matrix products give it:
-    t = D^T c is [De_i, e_j], and since c is antisymmetric, [e_i, De_j]
-    is -t with i and j swapped.  ``tol``, an absolute bound on the defect,
-    must be positive and finite (``ValueError``).
+    D[e_i,e_j] - [De_i,e_j] - [e_i,De_j], the d = 1 case of
+    ``_leibniz_defect``.  ``tol``, an absolute bound on the defect, must
+    be positive and finite (``ValueError``).
     """
     _checked_tol(tol)
     D = np.asarray(D, dtype=float)
-    n = g.dim
-    if D.shape != (n, n):
-        raise ShapeError(f"expected a {n}x{n} matrix, got {D.shape}")
-    c = g.c
-    t = (D.T @ c.reshape(n, n * n)).reshape(n, n, n)
-    lhs = (c.reshape(n * n, n) @ D.T).reshape(n, n, n)
-    defect = float(np.abs(lhs - t + t.transpose(1, 0, 2)).max())
+    if D.shape != (g.dim, g.dim):
+        raise ShapeError(f"expected a {g.dim}x{g.dim} matrix, got {D.shape}")
+    out = _leibniz_defect(g.c, D[None])
+    defect = float(np.abs(out, out=out).max())
     return defect <= tol, defect
 
 

@@ -11,7 +11,7 @@ here.  Every finite matrix is diagonalized, however large its entries.
 ``curvature`` is the one module that calls it.  The name, left from
 an earlier cyclic Jacobi iteration, stays because ``perfbench``
 traces it as the eigen layer of ``ricci_operator``; it goes when that
-layer is re-defined (ROADMAP item 1, step 1).  ``frame_reduction``
+layer is re-defined (ROADMAP item 1).  ``frame_reduction``
 reads its condition number off the singular values of the Gram matrix's
 triangular factor, not from an eigen step.
 """

@@ -209,7 +209,7 @@ def orbit_parameter_equal(
     result for these families (the classes of left-invariant metrics up
     to isometry and scaling are {g_λ : λ >= 0}), equal λ implies the
     same scaled automorphism orbit, but no certificate φ with
-    φ^T G1 φ proportional to G2 is computed yet (ROADMAP item 7).
+    φ^T G1 φ proportional to G2 is computed yet (ROADMAP item 8).
     ``tol`` must be positive and finite (``ValueError``).
     """
     _checked_tol(tol)

@@ -49,11 +49,8 @@ TENSOR_MAX_BYTES = 1 << 26
 """Largest dense float64 tensor one call builds: 64 MiB, which admits
 n <= 203 for the n^3-entry structure tensor, n <= 53 for the n^4-entry
 Riemann tensor and Jacobi contraction (so for every ``LieAlgebra(...)``),
-and n <= 24 for n^5 entries, the bound ``derivation_basis`` puts on its
-n^4(n-1)/2-entry Leibniz matrix (29 MiB at n = 24).  One n = 24 call
-peaks at 60 MiB of numpy arrays (``tracemalloc``), L and the 26 MiB
-product L Z^T that certifies its null block Z, and raises ru_maxrss by
-81 MB; the SVD works on the n^2 x n^2 Gram matrix."""
+and n <= 24 for n^5 entries, the bound ``derivation_basis`` keeps on its
+n^2 x n^2 eigen step (it forms no n^5 array: 8 MiB peak at n = 24)."""
 
 
 def _refuse_above_cap(what: str, n: int, rank: int) -> None:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import milnor_frames
 from milnor_frames import RandomMetricSpec, build_family, derivation_basis, sample_metric
 from milnor_frames.cli import build_parser, main
 from milnor_frames.derivations import family_derivation_basis
@@ -286,11 +291,30 @@ def test_derivations_over_the_printed_basis_cap_exits_1(n, monkeypatch, capsys):
         raise AssertionError("allocated before the size check")
 
     monkeypatch.setattr(cli_mod, "family_derivation_basis", refuse)
-    monkeypatch.setattr(derivations, "_leibniz_operator", refuse)
+    monkeypatch.setattr(derivations, "_leibniz_gram", refuse)
     code, out, err = run_cli(["derivations", "--family", "rh-line", "--dim", str(n)], capsys)
     assert code == 1
     assert out == ""
     assert "cap" in err
+
+
+def test_reader_closing_the_pipe_early_exits_0_quietly():
+    # `derivations ... --json | head -c 10`: 3.2 MB of JSON into a pipe
+    # whose reader leaves after 10 bytes
+    env = dict(os.environ, PYTHONPATH=str(Path(milnor_frames.__file__).parents[1]))
+    cmd = ["derivations", "--family", "rh-line", "--dim", "24", "--json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "milnor_frames.cli", *cmd],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(10) == b'{\n  "basis'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_dim_over_the_structure_tensor_cap_exits_1(monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,8 @@ from milnor_frames import (
 from milnor_frames.derivations import (
     NULLSPACE_RTOL,
     _forbidden_mask,
-    _leibniz_operator,
+    _leibniz_defect,
+    _leibniz_gram,
     family_derivation_basis,
 )
 from milnor_frames.frame_reduction import validate_aut_element
@@ -34,6 +37,32 @@ def E(n, i, j):
 def span_projector(mats):
     flat = mats.reshape(mats.shape[0], -1)
     return flat.T @ flat
+
+
+def _leibniz_operator(g: LieAlgebra) -> np.ndarray:
+    """Reference: the Leibniz matrix L itself, the matrix of
+    D -> (D[e_i,e_j] - [De_i,e_j] - [e_i,De_j]) over the pairs i < j,
+    which ``derivation_basis`` never forms."""
+    n = g.dim
+    c = g.c
+    iu, ju = np.triu_indices(n, k=1)
+    pairs = np.arange(len(iu))
+    # L[p, k, a, b] is the coefficient of D[a,b] in the k-th component of
+    # the defect of pair p = (i, j): c[i,j,b] where a = k, minus
+    # c[a,j,k] where b = i and c[i,a,k] where b = j.
+    L = np.zeros((len(iu), n, n, n))
+    L[:, np.arange(n), np.arange(n), :] = c[iu, ju][:, None, :]
+    L[pairs, :, :, iu] -= c[:, ju, :].transpose(1, 2, 0)
+    L[pairs, :, :, ju] -= c[iu].transpose(0, 2, 1)
+    return L.reshape(len(iu) * n, n * n)
+
+
+def _from_pairs(n, pairs):
+    """The algebra with [e_i, e_j] = e_k for each (i, j, k), 0-based."""
+    c = np.zeros((n, n, n))
+    for i, j, k in pairs:
+        c[i, j, k], c[j, i, k] = 1.0, -1.0
+    return LieAlgebra(dim=n, c=c)
 
 
 def test_abelian_has_full_matrix_space():
@@ -66,6 +95,11 @@ def test_dim2_keeps_every_null_vector(alg, want):
 def test_rotation_algebra_has_only_inner_derivations():
     so3 = parse_structure_constants("3\n1 2 3 1.0\n2 3 1 1.0\n1 3 2 -1.0\n")
     assert derivation_basis(so3).dim == 3
+
+
+@pytest.mark.parametrize("n, want", [(3, 6), (4, 10)], ids=["heisenberg", "heisenberg-plus-r"])
+def test_heisenberg_dimensions(n, want):
+    assert derivation_basis(_from_pairs(n, [(0, 1, 2)])).dim == want
 
 
 @pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
@@ -118,7 +152,7 @@ def test_leibniz_cap_refuses_before_allocating(monkeypatch):
     def refuse(*_):
         raise AssertionError("allocated before the size check")
 
-    monkeypatch.setattr(derivations, "_leibniz_operator", refuse)
+    monkeypatch.setattr(derivations, "_leibniz_gram", refuse)
     with pytest.raises(DimensionError, match="cap"):
         derivation_basis(build_family("rh-line", 25))
     # the largest CUSTOM and verify inputs stay far below it
@@ -304,6 +338,57 @@ def test_leibniz_operator_equals_the_tensor_gather(alg):
     assert np.array_equal(_leibniz_operator(alg), _leibniz_by_gather(alg))
 
 
+# --- L^T L and ||L Z^T|| from c, against the Leibniz matrix itself ---------
+
+
+_SMALL_ALGEBRAS = {
+    "so3": lambda: _from_pairs(3, [(0, 1, 2), (1, 2, 0), (2, 0, 1)]),
+    "heisenberg": lambda: _from_pairs(3, [(0, 1, 2)]),
+    "heisenberg-plus-r": lambda: _from_pairs(4, [(0, 1, 2)]),
+    "aff1": _aff1,
+    "abelian": lambda: LieAlgebra(dim=3, c=np.zeros((3, 3, 3))),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    name=st.sampled_from(["rh2+abelian", "rh-line", *_SMALL_ALGEBRAS]),
+    n=st.integers(3, 12),
+    push=st.booleans(),
+)
+def test_leibniz_gram_equals_lt_l(seed, name, n, push):
+    alg = _SMALL_ALGEBRAS[name]() if name in _SMALL_ALGEBRAS else build_family(name, n)
+    if push or name not in _SMALL_ALGEBRAS:
+        alg = change_basis(alg, _well_conditioned_basis(np.random.default_rng(seed), alg.dim))
+    L = _leibniz_operator(alg)
+    want = L.T @ L
+    assert np.max(np.abs(_leibniz_gram(alg.c) - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("alg", _leibniz_cases())
+def test_leibniz_defect_norm_is_l_times_the_stack(alg):
+    # random stacks, not null ones: the identity holds for every Z
+    n = alg.dim
+    Z = np.random.default_rng(n).normal(size=(7, n, n))
+    want = np.linalg.norm(_leibniz_operator(alg) @ Z.reshape(7, -1).T)
+    got = np.sqrt(0.5) * np.linalg.norm(_leibniz_defect(alg.c, Z))
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_n24_peak_memory_stays_near_the_gram():
+    # L alone would be 29 MiB here, and its certificate product L Z^T 26 MiB
+    alg = build_family("rh-line", 24)
+    tracemalloc.start()
+    try:
+        basis = derivation_basis(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.dim == 22**2 + 24
+    assert peak < 16 * 2**20
+
+
 # --- the null space from the Gram matrix against the SVD of L -----------
 
 
@@ -325,6 +410,7 @@ def _well_conditioned_basis(rng, n):
 def _null_space_cases():
     so3 = parse_structure_constants("3\n1 2 3 1.0\n2 3 1 1.0\n1 3 2 -1.0\n")
     cases = [("so3", so3), ("aff1", _aff1()), ("abelian-3", LieAlgebra(dim=3, c=np.zeros((3, 3, 3))))]
+    cases += [("heisenberg-plus-r", _from_pairs(4, [(0, 1, 2)]))]
     cases += [(f"{f}-{n}", build_family(f, n)) for f in ("rh2+abelian", "rh-line") for n in (3, 4, 5, 8, 12)]
     rng = np.random.default_rng(13)
     pushed = [(f"pushed-{name}", change_basis(alg, _well_conditioned_basis(rng, alg.dim))) for name, alg in cases]
