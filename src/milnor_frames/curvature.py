@@ -22,8 +22,12 @@ operator is also available in closed form:
   (2, n) and (n, 2).
 
 Every eigenvalue comes from ``eigensolve.jacobi_eigh`` (LAPACK's
-``eigvalsh`` behind finiteness checks) and every signature from
-``_signature``, both in ``_report`` and in the public ``signature``.
+``eigvalsh`` behind finiteness checks).  A signature computed from a
+matrix comes from ``_signature``, in ``_report`` and in the public
+``signature``; the closed form's signature is exact instead, the member
+of ``_signature_pair`` that its λ selects, because a band relative to
+the spectral radius misreads the fixed eigenvalue -(n-2) at large λ and
+the O(λ) eigenvalues at small λ.
 ``ricci_operator`` keeps its ``change_basis``, ``riemann`` and
 ``jacobi_eigh`` steps by name because ``perfbench`` traces them as its
 layers, until the benchmark re-defines those layers (ROADMAP item 1);
@@ -112,15 +116,18 @@ def _ricci_matrix(g: LieAlgebra) -> np.ndarray:
         return np.einsum("aiil->la", riemann(levi_civita(g), g))
 
 
-def _report(ric: np.ndarray) -> RicciReport:
-    """The eigen step: eigenvalues, signature and scalar curvature.  A trace
-    that overflows, which finite entries and eigenvalues allow, is refused."""
+def _report(ric: np.ndarray, sig: tuple[int, int, int] | None = None) -> RicciReport:
+    """The eigen step: eigenvalues, signature and scalar curvature.  The
+    signature is ``sig`` where given, else counted by ``_signature``.  A
+    trace that overflows, which finite entries and eigenvalues allow, is
+    refused."""
     w = jacobi_eigh(ric)
     with np.errstate(over="ignore"):
         scalar = float(np.trace(ric))
     if not np.isfinite(scalar):
         raise np.linalg.LinAlgError("the scalar curvature overflows to a non-finite value")
-    return RicciReport(ric=ric, eigenvalues=w, signature=_signature(w), scalar_curvature=scalar)
+    sig = _signature(w) if sig is None else sig
+    return RicciReport(ric=ric, eigenvalues=w, signature=sig, scalar_curvature=scalar)
 
 
 def _signature(w: np.ndarray) -> tuple[int, int, int]:
@@ -149,9 +156,23 @@ def ricci_operator(g: LieAlgebra, G: np.ndarray) -> RicciReport:
     return _report(_ricci_matrix(moved))
 
 
+def _signature_pair(family: Family, n: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """(degenerate member for λ = 0, member for λ > 0)."""
+    if family is Family.RH2_SUM_ABELIAN:
+        return (2, n - 2, 0), (2, n - 3, 1)
+    return (n - 1, 1, 0), (n - 1, 0, 1)
+
+
 def closed_form_ricci(family_tag: Family | str, n: int, lam: float) -> RicciReport:
-    """Ricci operator of the family metric with frame parameter λ, n >= 3."""
-    return _report(_closed_form_matrix(family_tag, n, lam))
+    """Ricci operator of the family metric with frame parameter λ, n >= 3.
+
+    The eigenvalues come from the eigen step; the signature is the
+    λ > 0 member of ``_signature_pair`` for every λ > 0 and the
+    degenerate member at λ = 0, exactly.
+    """
+    ric = _closed_form_matrix(family_tag, n, lam)
+    degenerate, generic = _signature_pair(Family(family_tag), n)
+    return _report(ric, generic if lam > 0.0 else degenerate)
 
 
 def _closed_form_matrix(family_tag: Family | str, n: int, lam: float) -> np.ndarray:

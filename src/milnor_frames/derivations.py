@@ -3,22 +3,24 @@
 A derivation is a linear map D with D[x, y] = [Dx, y] + [x, Dy].  Its
 defect over the basis pairs i < j is linear in D, so Der(g) is the null
 space of a Leibniz matrix L.  L is never formed: ``_leibniz_gram``
-assembles its n^2 x n^2 Gram matrix from c / max|c| in n^4 memory, one
-symmetric SVD of that keeps the vectors with squared singular values
-below ``GRAM_RTOL`` of the largest, and ``_leibniz_defect`` certifies
-them on L itself, since the Gram cannot resolve singular values of L
-much below 1e-5 of the largest.  c is Lie already: the ``LieAlgebra``
-constructor is the one Jacobi gate.  This null space serves CUSTOM
-algebras, and in ``verify`` it is the oracle for the closed form.
+assembles its n^2 x n^2 Gram matrix from c / max|c| in one n^4-entry
+buffer, one ascending ``eigh`` of that (``eigensolve.symmetric_eigenpairs``)
+keeps the eigenvectors with eigenvalues below ``GRAM_RTOL`` of the
+largest, and ``_leibniz_defect`` certifies them on L itself, since the
+Gram cannot resolve singular values of L much below 1e-5 of the
+largest.  c is Lie already: the ``LieAlgebra`` constructor is the one
+Jacobi gate.  This null space serves CUSTOM algebras, and in ``verify``
+it is the oracle for the closed form.
 
 For the two built-in families Der(g) has a rigid shape: the first row
 vanishes, row 2 is supported on columns 1..2, column 2 vanishes below
 row 2, and the trailing (n-2) x (n-2) block is free, giving dimension
 (n-2)^2 + n.  ``family_derivation_basis`` builds it as elementary
-matrices, with no SVD, for the CLI ``derivations`` subcommand and, with
-``conjugated_derivation_basis``, for the dense ``solvsoliton_solve``;
-``classify_metric``'s fit reads the pattern itself (``_forbidden_mask``),
-and ``pattern_check`` tests a computed basis against it.
+matrices, with no eigen step, for the CLI ``derivations`` subcommand
+and, with ``conjugated_derivation_basis``, for the dense
+``solvsoliton_solve``; ``classify_metric``'s fit reads the pattern
+itself (``_forbidden_mask``), and ``pattern_check`` tests a computed
+basis against it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigensolve import symmetric_eigenpairs
 from .errors import ShapeError
 from .lie_core import LieAlgebra, _checked_family, _checked_tol, _freeze, _refuse_above_cap
 
@@ -69,13 +72,15 @@ def _leibniz_gram(c: np.ndarray) -> np.ndarray:
     B = C0 C0^T (C1 = c.reshape(n^2, n), C0 = c.reshape(n, n^2)),
     E[a,b,a',b'] = sum_j c[b',j,b] c[a',j,a] and F[a,b,a',b'] =
     sum_k c[a,b',k] c[b,a',k]: two (n^2, n) x (n, n^2) products and two
-    diagonal-block adds."""
+    diagonal-block adds.  F - E - E^T is written into the one output
+    buffer, so h, e and the Gram are the only n^4-entry arrays."""
     n = c.shape[0]
     c0, c1 = c.reshape(n, n * n), c.reshape(n * n, n)
     cj = c.transpose(0, 2, 1).reshape(n * n, n)  # cj[(a, b), j] = c[a, j, b]
     h = (c1 @ c1.T).reshape(n, n, n, n)  # F is h with its axes permuted
     e = (cj @ cj.T).reshape(n, n, n, n)  # E and E^T are e with its axes permuted
-    gram = h.transpose(0, 2, 3, 1) - e.transpose(1, 3, 0, 2) - e.transpose(0, 2, 1, 3)
+    gram = np.subtract(h.transpose(0, 2, 3, 1), e.transpose(1, 3, 0, 2), out=np.empty((n, n, n, n)))
+    gram -= e.transpose(0, 2, 1, 3)
     diag = np.arange(n)
     gram[diag, :, diag, :] += 0.5 * (c1.T @ c1)
     gram[:, diag, :, diag] += c0 @ c0.T
@@ -100,10 +105,12 @@ def _leibniz_defect(c: np.ndarray, mats: np.ndarray) -> np.ndarray:
 def derivation_basis(g: LieAlgebra) -> DerivationBasis:
     """Compute an orthonormal basis of Der(g).
 
-    One symmetric SVD of the n^2 x n^2 Gram matrix L^T L (numpy's
-    ``eigh`` underneath) at every n: no QR, no L and no size switch.
-    Singular values sigma of L with sigma^2 below ``GRAM_RTOL``
-    sigma_max^2 count as null, and the null block Z must then meet
+    One ascending ``eigh`` of the n^2 x n^2 Gram matrix L^T L
+    (``eigensolve.symmetric_eigenpairs``) at every n: no SVD, no QR, no L
+    and no size switch.  Eigenvalues w = sigma^2 below ``GRAM_RTOL``
+    w_max count as null, a negative rounding eigenvalue of the
+    semidefinite Gram included, sigma_max = sqrt(w_max), and the null
+    block Z, the leading eigenvectors, must then meet
     ||L Z^T||_F <= ``NULLSPACE_RTOL`` sigma_max, its Leibniz defect taken
     about ``_DEFECT_ENTRIES`` entries at a time, or ``np.linalg.LinAlgError``
     ("rank of the Leibniz matrix unresolved") is raised: a singular value
@@ -120,18 +127,19 @@ def derivation_basis(g: LieAlgebra) -> DerivationBasis:
     n = g.dim
     _refuse_above_cap("the n^2 x n^2 eigen step of Der(g), sized as a tensor that", n, 5)
     c = g.c / (float(np.max(np.abs(g.c))) or 1.0)
-    _, s2, vt = np.linalg.svd(_leibniz_gram(c), hermitian=True)
-    smax = np.sqrt(s2[0]) if s2[0] > 0 else 1.0
-    null = vt[int(np.sum(s2 >= GRAM_RTOL * smax**2)):].reshape(-1, n, n)
+    w, v = symmetric_eigenpairs(_leibniz_gram(c))
+    smax = np.sqrt(w[-1]) if w[-1] > 0 else 1.0
+    # the basis copies the null columns into one C-ordered stack, which the certificate reads
+    basis = DerivationBasis(mats=v[:, : np.count_nonzero(w < GRAM_RTOL * smax**2)].T.reshape(-1, n, n))
     chunk = max(1, _DEFECT_ENTRIES // n**3)
-    parts = (_leibniz_defect(c, null[s : s + chunk]) for s in range(0, len(null), chunk))
+    parts = (_leibniz_defect(c, basis.mats[s : s + chunk]) for s in range(0, basis.dim, chunk))
     residual = np.sqrt(0.5 * sum(float(np.vdot(d, d)) for d in parts))
     if residual > NULLSPACE_RTOL * smax:
         raise np.linalg.LinAlgError(
             f"rank of the Leibniz matrix unresolved: null-space residual {residual:.2e} "
             f"exceeds {NULLSPACE_RTOL:g} of its largest singular value {smax:.2e}"
         )
-    return DerivationBasis(mats=null)
+    return basis
 
 
 def is_derivation(g: LieAlgebra, D: np.ndarray, tol: float) -> tuple[bool, float]:

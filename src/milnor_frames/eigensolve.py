@@ -1,19 +1,26 @@
-"""Symmetric eigenvalues: LAPACK's ``eigvalsh`` behind a traced name.
+"""Symmetric eigenproblems: LAPACK's ``syevd`` behind two names.
 
-Small dense symmetric matrices are all this package ever diagonalizes,
-and only their eigenvalues are ever read.  ``jacobi_eigh`` is
-``numpy.linalg.eigvalsh`` (LAPACK ``syevd``, O(n^3)) plus the checks
-that function lacks: it returns ``[0, -0]`` for a NaN entry instead of
-raising, and ``inf`` for an eigenvalue past the float range, so a
-non-finite entry or eigenvalue raises ``numpy.linalg.LinAlgError``
-here.  Every finite matrix is diagonalized, however large its entries.
+Dense symmetric matrices are all this package ever diagonalizes, and
+every eigen step goes through this module.  It has two callers.
 
-``curvature`` is the one module that calls it.  The name, left from
-an earlier cyclic Jacobi iteration, stays because ``perfbench``
-traces it as the eigen layer of ``ricci_operator``; it goes when that
-layer is re-defined (ROADMAP item 1).  ``frame_reduction``
-reads its condition number off the singular values of the Gram matrix's
-triangular factor, not from an eigen step.
+``jacobi_eigh``, called by ``curvature``, returns eigenvalues only.  It
+is ``numpy.linalg.eigvalsh`` (O(n^3)) plus the checks that function
+lacks: it returns ``[0, -0]`` for a NaN entry instead of raising, and
+``inf`` for an eigenvalue past the float range, so a non-finite entry
+or eigenvalue raises ``numpy.linalg.LinAlgError`` here.  Every finite
+matrix is diagonalized, however large its entries.  The name, left from
+an earlier cyclic Jacobi iteration, stays because ``perfbench`` traces
+it as the eigen layer of ``ricci_operator``; it goes when that layer is
+re-defined (ROADMAP item 1).
+
+``symmetric_eigenpairs``, called by ``derivations``, returns the
+eigenvalues and eigenvectors of the n^2 x n^2 Leibniz Gram matrix.
+That matrix is built from c / max|c| and is finite by construction, so
+no finiteness pass is made: ``derivation_basis``'s certificate on the
+Leibniz matrix is the loud failure.
+
+``frame_reduction`` reads its condition number off the singular values
+of the Gram matrix's triangular factor, not from an eigen step.
 """
 
 from __future__ import annotations
@@ -39,3 +46,12 @@ def jacobi_eigh(a: np.ndarray) -> np.ndarray:
         raise np.linalg.LinAlgError("an eigenvalue overflows to a non-finite value")
     return w
 
+
+def symmetric_eigenpairs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a finite symmetric matrix, ascending, and its
+    orthonormal eigenvectors as the columns of the second array.
+
+    ``numpy.linalg.eigh`` as it stands, with no input check: the caller
+    guarantees finite entries.
+    """
+    return np.linalg.eigh(a)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import _closed_form_matrix, _report, levi_civita, ricci_operator, riemann
+from .curvature import _closed_form_matrix, _report, _signature_pair, levi_civita, ricci_operator, riemann
 from .derivations import (
     conjugated_derivation_basis,
     derivation_basis,
@@ -251,13 +251,6 @@ def check_reduction_soundness() -> CriterionResult:
     )
 
 
-def _signature_pair(family: Family, n: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """(degenerate member for λ = 0, member for λ > 0)."""
-    if family is Family.RH2_SUM_ABELIAN:
-        return (2, n - 2, 0), (2, n - 3, 1)
-    return (n - 1, 1, 0), (n - 1, 0, 1)
-
-
 def check_signature_dichotomy() -> CriterionResult:
     """Sampled signatures stay inside the declared pair; constructed
     metrics land on the predicted member."""
@@ -429,8 +422,8 @@ def check_einstein_nonexistence() -> CriterionResult:
 def check_derivation_dimension() -> CriterionResult:
     """dim Der = (n-2)^2 + n and the zero pattern holds, both families.
 
-    The SVD basis is the oracle for the closed form ``classify_metric``
-    uses: the closed form must have the SVD's dimension, and
+    The numerical ``derivation_basis`` is the oracle for the closed form
+    ``classify_metric`` uses: the closed form must have its dimension, and
     ``pattern_check`` compares the two spans.
     """
     t0 = time.perf_counter()

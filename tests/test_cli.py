@@ -372,6 +372,18 @@ def test_malformed_numbers_exit_1(argv, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("lam", ["0", "1e-5", "1", "1e5"])
+@pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
+def test_curvature_lambda_prints_the_dichotomy_member(family, lam, capsys):
+    want = {"rh2+abelian": ([2, 2, 0], [2, 1, 1]), "rh-line": ([3, 1, 0], [3, 0, 1])}[family][float(lam) > 0]
+    code, out, _ = run_cli(["curvature", "--family", family, "--dim", "4", "--lambda", lam, "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["signature"] == want
+    code, out, _ = run_cli(["curvature", "--family", family, "--dim", "4", "--lambda", lam], capsys)
+    assert code == 0
+    assert f"signature (-,0,+) = ({want[0]}, {want[1]}, {want[2]})" in out
+
+
 def test_overflowing_lambda_exits_2(capsys):
     # λ² overflows to inf inside the closed-form Ricci operator
     code, out, err = run_cli(

@@ -268,6 +268,22 @@ class TestClosedForm:
         with pytest.raises(ValueError, match="finite"):
             closed_form_ricci("rh-line", 4, lam)
 
+    @pytest.mark.parametrize("n", [4, 7])
+    @pytest.mark.parametrize("lam", [0.0, 1e-5, 1.0, 1e5])
+    @pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
+    def test_signature_is_the_member_lambda_selects(self, family, n, lam):
+        # a band relative to the spectral radius drops the O(λ) eigenvalues
+        # at λ = 1e-5 and the fixed -(n-2) of rh-line at λ = 1e5
+        if family == "rh2+abelian":
+            want = (2, n - 3, 1) if lam > 0 else (2, n - 2, 0)
+        else:
+            want = (n - 1, 0, 1) if lam > 0 else (n - 1, 1, 0)
+        rep = closed_form_ricci(family, n, lam)
+        assert rep.signature == want
+        assert len(rep.eigenvalues) == n
+        if lam in (0.0, 1.0):  # where the band resolves the spectrum, the two agree
+            assert signature(rep.ric) == want
+
     def test_rejects_custom(self):
         # CUSTOM and a string that names no family get the same class
         for tag in ("custom", "so3"):

@@ -430,23 +430,23 @@ def test_null_space_from_r_spans_the_svd_of_l(alg):
 
 
 @pytest.mark.parametrize("n", [3, 4, 8, 12])
-def test_svd_runs_on_the_square_r_factor(monkeypatch, n):
-    # one SVD, of the n^2 x n^2 Gram matrix: an SVD of the Leibniz matrix
-    # itself, tall for n >= 4, would also form its unused U, and no QR
-    # copies L
+def test_one_eigh_runs_on_the_gram_matrix(monkeypatch, n):
+    # one eigen call, an eigh of the n^2 x n^2 Gram matrix: no SVD, whose
+    # hermitian wrapper copies the eigenvectors twice, and no QR of L
     alg = change_basis(build_family("rh-line", n), _well_conditioned_basis(np.random.default_rng(n), n))
     shapes = []
-    svd = np.linalg.svd
+    eigh = np.linalg.eigh
 
-    def recording_svd(a, *args, **kwargs):
+    def recording_eigh(a, *args, **kwargs):
         shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+        return eigh(a, *args, **kwargs)
 
-    def no_qr(*_, **__):
-        raise AssertionError("np.linalg.qr called")
+    def refuse(*_, **__):
+        raise AssertionError("an SVD, a QR or another eigen routine was called")
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    for name in ("eig", "eigvals", "eigvalsh", "svd", "qr"):
+        monkeypatch.setattr(np.linalg, name, refuse)
     derivation_basis(alg)
     assert shapes == [(n * n, n * n)]
 

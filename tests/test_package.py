@@ -10,23 +10,32 @@ def test_public_names_resolve_and_are_listed_once_in_order():
     assert [name for name in names if not hasattr(milnor_frames, name)] == []
 
 
+def _called_name(node):
+    """Name of the function a call node calls; an SVD with a ``hermitian``
+    keyword other than a literal False is named ``svd(hermitian)``."""
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    hermitian = [kw.value for kw in node.keywords if kw.arg == "hermitian"]
+    if name == "svd" and hermitian and not (isinstance(hermitian[0], ast.Constant) and hermitian[0].value is False):
+        return "svd(hermitian)"
+    return name
+
+
 def _modules_calling(names):
     """Package source files that call any function in ``names``."""
     src = Path(milnor_frames.__file__).parent
     callers = set()
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in names:
-                    callers.add(path.name)
+            if isinstance(node, ast.Call) and _called_name(node) in names:
+                callers.add(path.name)
     return callers
 
 
 def test_eigen_routines_are_called_only_in_eigensolve():
-    # one eigen path: every eigenvalue goes through eigensolve.jacobi_eigh
-    assert _modules_calling({"eig", "eigh", "eigvals", "eigvalsh"}) == {"eigensolve.py"}
+    # one eigen path: every eigen step goes through eigensolve, a
+    # hermitian SVD included, since it is eigh underneath
+    assert _modules_calling({"eig", "eigh", "eigvals", "eigvalsh", "svd(hermitian)"}) == {"eigensolve.py"}
 
 
 def test_cholesky_is_called_only_in_frame_reduction():
