@@ -39,7 +39,6 @@ from .frame_reduction import (
     parse_gram,
     reduce,
     validate_aut_element,
-    validate_gram,
 )
 from .lie_core import (
     Family,
@@ -47,7 +46,6 @@ from .lie_core import (
     bracket,
     build_family,
     change_basis,
-    format_structure_constants,
     jacobi_defect,
     milnor_pattern,
     parse_structure_constants,
@@ -79,7 +77,6 @@ __all__ = [
     "closed_form_ricci",
     "conjugated_derivation_basis",
     "derivation_basis",
-    "format_structure_constants",
     "gram_to_group_element",
     "is_derivation",
     "jacobi_defect",
@@ -97,5 +94,4 @@ __all__ = [
     "signature",
     "solvsoliton_solve",
     "validate_aut_element",
-    "validate_gram",
 ]

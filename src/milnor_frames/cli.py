@@ -4,7 +4,9 @@ Subcommands: reduce, curvature, derivations, solvsoliton,
 signature-sweep, verify-paper.  Families are selected with
 ``--family {rh2+abelian, rh-line}``; metrics come from a file
 (n lines of n space-separated decimals), a deterministic sampler
-(``--random SEED``), or a frame parameter (``--lambda``).
+(``--random SEED``), or a frame parameter (``--lambda``).  A metric
+file is only parsed here; the subcommand's Gram gate checks it against
+``--dim`` and factors it, once.
 
 Exit codes: 0 success, 1 validation error (bad flags, unreadable or
 malformed input, a non-finite --lambda or --tol, a negative --samples,
@@ -88,7 +90,7 @@ def _emit(payload: dict | list, args: argparse.Namespace, text_lines: list[str])
 def _load_metric(args: argparse.Namespace) -> np.ndarray:
     if args.metric is not None:
         with open(args.metric, "r", encoding="utf-8") as fh:
-            return parse_gram(fh.read(), args.dim)
+            return parse_gram(fh.read())
     return sample_metric(RandomMetricSpec(seed=args.random), args.dim)
 
 

@@ -170,14 +170,14 @@ def closed_form_ricci(family_tag: Family | str, n: int, lam: float) -> RicciRepo
     λ > 0 member of ``_signature_pair`` for every λ > 0 and the
     degenerate member at λ = 0, exactly.
     """
-    ric = _closed_form_matrix(family_tag, n, lam)
-    degenerate, generic = _signature_pair(Family(family_tag), n)
-    return _report(ric, generic if lam > 0.0 else degenerate)
-
-
-def _closed_form_matrix(family_tag: Family | str, n: int, lam: float) -> np.ndarray:
-    """The matrix of ``closed_form_ricci``, without the eigen step."""
     family = _checked_family(family_tag, n, lam)
+    degenerate, generic = _signature_pair(family, n)
+    return _report(_closed_form_matrix(family, n, lam), generic if lam > 0.0 else degenerate)
+
+
+def _closed_form_matrix(family: Family, n: int, lam: float) -> np.ndarray:
+    """The matrix of ``closed_form_ricci``, without the eigen step, for a
+    family, n and λ that ``_checked_family`` has already passed."""
     ric = np.zeros((n, n))
     if family is Family.RH2_SUM_ABELIAN:
         ric[0, 0] = ric[1, 1] = -1.0 - lam * lam / 2.0

@@ -34,6 +34,11 @@ g = U^{-T}, V = A_4^{-1} A_3 = -U_12^T U_11^{-T} and U_11^{-T} e_2 = e_2 / U[1, 
 
 Parameters λ below 1e-9 are snapped to exactly 0 so downstream
 classifiers see the boundary case sharply.
+
+Every Gram matrix passes one gate, ``_factor_gram``, which validates and
+factors it once; ``gram_to_group_element`` and ``_frame_parameter`` are
+its only callers.  ``parse_gram`` reads the text format and leaves the
+validation to that gate.
 """
 
 from __future__ import annotations
@@ -76,15 +81,6 @@ def _factor_gram(G: np.ndarray, n: int | None = None) -> tuple[np.ndarray, np.nd
         raise NotPositiveDefiniteError("Gram matrix is not positive definite") from exc
     G.setflags(write=False)
     return G, U
-
-
-def validate_gram(G: np.ndarray) -> np.ndarray:
-    """Check finiteness, symmetry and positive definiteness; return a frozen copy.
-
-    Symmetry must hold within 1e-10 of the matrix scale; definiteness is
-    certified by a successful triangular factorization.
-    """
-    return _factor_gram(G)[0]
 
 
 def gram_to_group_element(G: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -250,8 +246,14 @@ def validate_aut_element(g_alg: LieAlgebra, M: np.ndarray, tol: float = DEFAULT_
 # --- Gram matrix text format: n lines of n space-separated decimals ------
 
 
-def parse_gram(text: str, n: int | None = None) -> np.ndarray:
-    """Parse the Gram matrix text format and validate the result, size first if n is given."""
+def parse_gram(text: str) -> np.ndarray:
+    """Parse the Gram matrix text format into a square float array.
+
+    Only the text is checked: non-empty, square, every token a float.  The
+    consumer's Gram gate (``_factor_gram``, inside ``reduce``,
+    ``ricci_operator``, ``classify_metric`` or ``gram_to_group_element``)
+    validates the array, size first, and factors it once.
+    """
     rows = []
     for ln in text.splitlines():
         ln = ln.strip()
@@ -262,10 +264,4 @@ def parse_gram(text: str, n: int | None = None) -> np.ndarray:
         raise ValueError("empty Gram matrix input")
     if any(len(r) != len(rows) for r in rows):
         raise ShapeError("Gram matrix rows must all have length n")
-    return _factor_gram(np.array(rows), n)[0]
-
-
-def format_gram(G: np.ndarray) -> str:
-    """Render a Gram matrix in the text format."""
-    G = np.asarray(G, dtype=float)
-    return "\n".join(" ".join(repr(float(v)) for v in row) for row in G) + "\n"
+    return np.array(rows)

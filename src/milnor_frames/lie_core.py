@@ -290,15 +290,3 @@ def parse_structure_constants(text: str) -> LieAlgebra:
         c[i - 1, j - 1, k - 1] = v
         c[j - 1, i - 1, k - 1] = -v
     return LieAlgebra(dim=n, c=c)
-
-
-def format_structure_constants(g: LieAlgebra) -> str:
-    """Render a LieAlgebra in the text format (1-based, pairs i < j only)."""
-    out = [str(g.dim)]
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            for k in range(g.dim):
-                v = float(g.c[i, j, k])
-                if v != 0.0:
-                    out.append(f"{i + 1} {j + 1} {k + 1} {v!r}")
-    return "\n".join(out) + "\n"

@@ -11,7 +11,6 @@ import milnor_frames
 from milnor_frames import RandomMetricSpec, build_family, derivation_basis, sample_metric
 from milnor_frames.cli import build_parser, main
 from milnor_frames.derivations import family_derivation_basis
-from milnor_frames.frame_reduction import format_gram
 
 
 def run_cli(argv, capsys):
@@ -48,7 +47,7 @@ def test_curvature_closed_form(capsys):
 def test_curvature_metric_file(tmp_path, capsys):
     G = sample_metric(RandomMetricSpec(seed=5), 3)
     path = tmp_path / "metric.txt"
-    path.write_text(format_gram(G))
+    np.savetxt(path, G, fmt="%.17g")
     code, out, _ = run_cli(
         ["curvature", "--family", "rh-line", "--dim", "3", "--metric", str(path), "--json"],
         capsys,
@@ -132,7 +131,7 @@ def test_non_finite_metric_exits_1(tmp_path, capsys, bad):
 
 def test_dim_mismatch_exits_1(tmp_path, capsys):
     path = tmp_path / "metric.txt"
-    path.write_text(format_gram(np.eye(3)))
+    np.savetxt(path, np.eye(3), fmt="%.17g")
     code, _, err = run_cli(
         ["reduce", "--family", "rh-line", "--dim", "4", "--metric", str(path)], capsys
     )
@@ -145,12 +144,30 @@ def test_dim_mismatch_exits_1(tmp_path, capsys):
 def test_dim_mismatch_names_both_sizes(command, gram, tmp_path, capsys):
     # the size is checked before definiteness
     path = tmp_path / "metric.txt"
-    path.write_text(format_gram(gram))
+    np.savetxt(path, gram, fmt="%.17g")
     code, _, err = run_cli(
         [command, "--family", "rh-line", "--dim", "4", "--metric", str(path)], capsys
     )
     assert code == 1
     assert "Gram matrix is 3x3, algebra has dim 4" in err
+
+
+@pytest.mark.parametrize("command", ["reduce", "curvature", "solvsoliton"])
+def test_metric_file_is_factored_once(command, monkeypatch, tmp_path, capsys):
+    # parse_gram only parses; the subcommand's Gram gate factors the file once
+    path = tmp_path / "metric.txt"
+    np.savetxt(path, sample_metric(RandomMetricSpec(seed=5), 5), fmt="%.17g")
+    calls = []
+    real = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(1)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    code, _, _ = run_cli([command, "--family", "rh-line", "--dim", "5", "--metric", str(path)], capsys)
+    assert code == 0
+    assert len(calls) == 1
 
 
 SINGULAR_GRAM_TEXT = """\
@@ -239,7 +256,7 @@ def test_eigen_failure_exits_2(monkeypatch, tmp_path, capsys):
         raise np.linalg.LinAlgError("synthetic eigenvalue failure")
 
     path = tmp_path / "metric.txt"
-    path.write_text(format_gram(sample_metric(RandomMetricSpec(seed=5), 5)))
+    np.savetxt(path, sample_metric(RandomMetricSpec(seed=5), 5), fmt="%.17g")
     monkeypatch.setattr(curvature, "jacobi_eigh", fail)
     code, out, err = run_cli(
         ["curvature", "--family", "rh-line", "--dim", "5", "--metric", str(path)], capsys
@@ -344,7 +361,7 @@ def test_riemann_cap_in_the_cli(argv, code, monkeypatch, tmp_path, capsys):
     from milnor_frames import lie_core
 
     path = tmp_path / "metric.txt"
-    path.write_text(format_gram(sample_metric(RandomMetricSpec(seed=5), 4)))
+    np.savetxt(path, sample_metric(RandomMetricSpec(seed=5), 4), fmt="%.17g")
     monkeypatch.setattr(lie_core, "TENSOR_MAX_BYTES", 8 * 4**4 - 1)
     got, out, err = run_cli([str(path) if a == "METRIC" else a for a in argv], capsys)
     assert got == code
@@ -407,7 +424,7 @@ def _strict_json(text):
 def test_gram_gate_holds_at_both_ends_of_the_float_range(s, tmp_path, capsys):
     # G = s I: symmetric and definite at every s; only k = g_11^2 = 1/s can overflow
     path = tmp_path / "metric.txt"
-    path.write_text(format_gram(s * np.eye(4)))
+    np.savetxt(path, s * np.eye(4), fmt="%.17g")
     argv = ["--family", "rh-line", "--dim", "4", "--metric", str(path), "--json"]
     code, out, err = run_cli(["reduce", *argv], capsys)
     if s <= 5e-309:

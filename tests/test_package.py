@@ -21,15 +21,22 @@ def _called_name(node):
     return name
 
 
+def _call_sites(names):
+    """(source file, top-level definition or '<module>') of each call to a
+    function in ``names`` in the package."""
+    src = Path(milnor_frames.__file__).parent
+    sites = set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and _called_name(node) in names:
+                    sites.add((path.name, getattr(top, "name", "<module>")))
+    return sites
+
+
 def _modules_calling(names):
     """Package source files that call any function in ``names``."""
-    src = Path(milnor_frames.__file__).parent
-    callers = set()
-    for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call) and _called_name(node) in names:
-                callers.add(path.name)
-    return callers
+    return {module for module, _ in _call_sites(names)}
 
 
 def test_eigen_routines_are_called_only_in_eigensolve():
@@ -41,6 +48,15 @@ def test_eigen_routines_are_called_only_in_eigensolve():
 def test_cholesky_is_called_only_in_frame_reduction():
     # one Gram gate: every Gram matrix is validated and factored by _factor_gram
     assert _modules_calling({"cholesky"}) == {"frame_reduction.py"}
+
+
+def test_factor_gram_has_two_callers():
+    # one Gram gate per input: parse_gram only parses, and the consumer
+    # factors the array once, through one of these two
+    assert _call_sites({"_factor_gram"}) == {
+        ("frame_reduction.py", "gram_to_group_element"),
+        ("frame_reduction.py", "_frame_parameter"),
+    }
 
 
 def test_jacobi_defect_is_called_only_in_lie_core():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from milnor_frames import RandomMetricSpec, SplitMix64, sample_metric, validate_gram
+from milnor_frames import RandomMetricSpec, SplitMix64, gram_to_group_element, sample_metric
 
 
 def test_splitmix64_reference_vector():
@@ -69,7 +69,7 @@ def test_different_seeds_differ():
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_positive_definite(n):
     G = sample_metric(RandomMetricSpec(seed=7), n)
-    validate_gram(G)  # raises if not SPD
+    gram_to_group_element(G)  # raises if not SPD
 
 
 def test_condition_number_sweep():
