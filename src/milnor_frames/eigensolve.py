@@ -1,17 +1,18 @@
 """Symmetric eigenproblems: LAPACK's ``syevd`` behind two names.
 
 Dense symmetric matrices are all this package ever diagonalizes, and
-every eigen step goes through this module.  It has two callers.
+every eigen step goes through this module.
 
-``jacobi_eigh``, called by ``curvature``, returns eigenvalues only.  It
-is ``numpy.linalg.eigvalsh`` (O(n^3)) plus the checks that function
-lacks: it returns ``[0, -0]`` for a NaN entry instead of raising, and
-``inf`` for an eigenvalue past the float range, so a non-finite entry
-or eigenvalue raises ``numpy.linalg.LinAlgError`` here.  Every finite
-matrix is diagonalized, however large its entries.  The name, left from
-an earlier cyclic Jacobi iteration, stays because ``perfbench`` traces
-it as the eigen layer of ``ricci_operator``; it goes when that layer is
-re-defined (ROADMAP item 1).
+``jacobi_eigh``, called by ``curvature`` and by ``sampling`` (the
+spectral norm of A^T A), returns eigenvalues only.  It is
+``numpy.linalg.eigvalsh`` (O(n^3)) plus the checks that function lacks:
+it returns ``[0, -0]`` for a NaN entry instead of raising, and ``inf``
+for an eigenvalue past the float range, so a non-finite entry or
+eigenvalue raises ``numpy.linalg.LinAlgError`` here.  Every finite
+matrix is diagonalized, however large its entries.  The name stays
+because ``perfbench`` traces it as the eigen layer of
+``ricci_operator``; it goes when that layer is re-defined (ROADMAP
+item 1).
 
 ``symmetric_eigenpairs``, called by ``derivations``, returns the
 eigenvalues and eigenvectors of the n^2 x n^2 Leibniz Gram matrix.

@@ -16,7 +16,8 @@ k = 1, 2, ...; ``next_uint64`` and ``uniform`` draw one value at a time
 with masked Python integers and continue the same stream.
 
 A sampled Gram matrix is G = A^T A + eps I with A uniform in [-1, 1)
-and eps = 1e-6 times the spectral norm of A^T A.  The eigenvalues of G
+and eps = 1e-6 times the spectral norm of A^T A, its largest eigenvalue
+(``eigensolve.jacobi_eigh``).  The eigenvalues of G
 then lie in [eps, ||A^T A|| + eps], so cond(G) <= 1 + 1e6 for every
 seed, and the sampler needs no condition-number check.
 """
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigensolve import jacobi_eigh
 from .errors import DimensionError
 
 _MASK = (1 << 64) - 1
@@ -84,7 +86,7 @@ def sample_metric(spec: RandomMetricSpec, n: int) -> np.ndarray:
     rng = SplitMix64(spec.seed)
     A = rng.matrix(n, n)
     S = A.T @ A
-    norm = float(np.linalg.svd(S, compute_uv=False)[0])
+    norm = float(jacobi_eigh(S)[-1])
     if norm == 0.0:
         return np.eye(n)
     return S + 1e-6 * norm * np.eye(n)

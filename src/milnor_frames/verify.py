@@ -23,7 +23,7 @@ from .derivations import (
     family_derivation_basis,
     pattern_check,
 )
-from .frame_reduction import DEFAULT_TOL, _frame_parameter, reduce
+from .frame_reduction import DEFAULT_TOL, _frame_parameter, gram_to_group_element, reduce
 from .lie_core import FAMILIES, Family, build_family, milnor_pattern
 from .sampling import RandomMetricSpec, SplitMix64, sample_metric
 from .solvsoliton import SolitonVerdict, classify_metric, solvsoliton_solve
@@ -47,37 +47,25 @@ def _result(name: str, passed: bool, detail: str, t0: float) -> CriterionResult:
 
 
 def _pattern_automorphism(rng: SplitMix64, n: int) -> np.ndarray:
-    """Random element of the connected scaled-automorphism pattern, unit scale."""
+    """Random scaled automorphism with unit (1,1) entry.  The trailing block
+    is a scaled orthogonal factor of either orientation, since the
+    automorphisms hold all of GL(n - 2) there."""
     phi = np.eye(n)
     phi[1, 1] = 0.5 + 1.5 * abs(rng.uniform())
     phi[1, 0] = rng.uniform()
     for i in range(2, n):
         phi[i, 0] = 0.5 * rng.uniform()
     m = n - 2
-    if m == 1:
-        phi[2, 2] = 0.5 + 1.5 * abs(rng.uniform())
-    else:
-        raw = rng.matrix(m, m) + 2.0 * np.eye(m)
-        Q, R = np.linalg.qr(raw)
-        Q = Q * np.where(np.diag(R) < 0, -1.0, 1.0)
-        if np.linalg.det(Q) < 0:
-            Q[:, 0] *= -1.0
-        phi[2:, 2:] = Q
+    s = 0.5 + 1.5 * abs(rng.uniform())
+    phi[2:, 2:] = s * np.linalg.qr(rng.matrix(m, m) + 2.0 * np.eye(m))[0]
     return phi
 
 
 def _pushforward(G: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Gram matrix of the metric pushed forward by phi."""
+    """Gram matrix φ^{-T} G φ^{-1} of the metric pushed forward by φ; the
+    consumer's Gram gate symmetrizes it."""
     phi_inv = np.linalg.inv(phi)
-    Gp = phi_inv.T @ G @ phi_inv
-    return 0.5 * (Gp + Gp.T)
-
-
-def _metric_with_parameter(n: int, lam: float) -> np.ndarray:
-    """Gram matrix whose reduction parameter is exactly lam, by construction."""
-    g_lam = np.eye(n)
-    g_lam[n - 1, 1] = -lam
-    return np.linalg.inv(g_lam @ g_lam.T)
+    return phi_inv.T @ G @ phi_inv
 
 
 # --- expected connection and curvature tables ------------------------------
@@ -155,9 +143,15 @@ def _expected_curvature_rows(
 
 
 def check_ricci_closed_form() -> CriterionResult:
-    """Generic pipeline vs closed form, entrywise, for both families."""
+    """Generic pipeline vs closed form, entrywise, for both families: on
+    the frame metrics at λ in ``LAMBDA_GRID``, and on sampled metrics
+    through ``reduce``, where Ric = k Q C(λ) Q^T with (λ, k, X) from
+    ``reduce``, g = ``gram_to_group_element(G)`` and Q = sqrt(k) g^{-1} X,
+    relative to max|Ric|."""
     t0 = time.perf_counter()
     worst = 0.0
+    worst_sampled = 0.0
+    seed_stream = SplitMix64(0x5EED0000)
     for family in FAMILIES:
         for n in range(3, 9):
             for lam in LAMBDA_GRID:
@@ -165,12 +159,21 @@ def check_ricci_closed_form() -> CriterionResult:
                 got = ricci_operator(alg, np.eye(n)).ric
                 want = _closed_form_matrix(family, n, lam)
                 worst = max(worst, float(np.max(np.abs(got - want))))
+            alg = build_family(family, n)
+            for _ in range(20):
+                G = sample_metric(RandomMetricSpec(seed=seed_stream.next_uint64()), n)
+                got = ricci_operator(alg, G).ric
+                fr = reduce(alg, G)
+                Q = np.sqrt(fr.scale_k) * np.linalg.solve(gram_to_group_element(G), fr.frame)
+                want = fr.scale_k * Q @ _closed_form_matrix(family, n, fr.lam) @ Q.T
+                worst_sampled = max(worst_sampled, float(np.max(np.abs(got - want)) / np.max(np.abs(got))))
     elapsed = time.perf_counter() - t0
-    passed = worst <= 1e-9 and elapsed < 5.0
+    passed = worst <= 1e-9 and worst_sampled <= 1e-9 and elapsed < 5.0
     return _result(
         "ricci-closed-form-equivalence",
         passed,
-        f"max entrywise deviation {worst:.2e} (tol 1e-09), {elapsed:.2f}s (< 5s)",
+        f"max entrywise deviation {worst:.2e} on frame metrics, {worst_sampled:.2e} relative to "
+        f"max|Ric| on sampled metrics through reduce (tol 1e-09), {elapsed:.2f}s (< 5s)",
         t0,
     )
 
@@ -272,8 +275,10 @@ def check_signature_dichotomy() -> CriterionResult:
                 flat = _pushforward(scale * np.eye(n), phi)
                 if ricci_operator(alg, flat).signature != degenerate:
                     failures.append(f"{family.value} n={n}: λ=0 metric missed {degenerate}")
-                lam = 0.3 + 3.0 * abs(seed_stream.uniform())
-                curved = _pushforward(_metric_with_parameter(n, lam), phi)
+                # the metric of g_λ = I - λ E_{n,2}, pushed on by φ
+                g_lam = np.eye(n)
+                g_lam[n - 1, 1] = -(0.3 + 3.0 * abs(seed_stream.uniform()))
+                curved = _pushforward(np.eye(n), phi @ g_lam)
                 if ricci_operator(alg, curved).signature != generic:
                     failures.append(f"{family.value} n={n}: λ>0 metric missed {generic}")
     passed = not failures

@@ -9,6 +9,7 @@ from milnor_frames import (
     RandomMetricSpec,
     ShapeError,
     SingularMatrixError,
+    SplitMix64,
     UnsupportedFamilyError,
     LieAlgebra,
     build_family,
@@ -25,6 +26,7 @@ from milnor_frames import (
 )
 from milnor_frames.derivations import _forbidden_mask
 from milnor_frames.frame_reduction import LAMBDA_SNAP
+from milnor_frames.verify import _pattern_automorphism
 
 
 # rh-line, n = 4: cond(G) = 1.3e25 and s_min / s_max of its factor U is 2.8e-13,
@@ -59,14 +61,8 @@ def pattern_automorphism(rng, n):
     phi[1, 1] = rng.uniform(0.5, 2.0)
     phi[1, 0] = rng.normal()
     phi[2:, 0] = rng.normal(size=n - 2) * 0.5
-    if n == 3:
-        phi[2, 2] = rng.uniform(0.5, 2.0)
-    else:
-        q, r = np.linalg.qr(rng.normal(size=(n - 2, n - 2)))
-        q = q * np.where(np.diag(r) < 0, -1.0, 1.0)
-        if np.linalg.det(q) < 0:
-            q[:, 0] *= -1.0
-        phi[2:, 2:] = q
+    # a scaled orthogonal trailing block of either orientation, as verify draws it
+    phi[2:, 2:] = rng.uniform(0.5, 2.0) * np.linalg.qr(rng.normal(size=(n - 2, n - 2)))[0]
     return phi
 
 
@@ -462,6 +458,20 @@ class TestValidateAutElement:
         alg = build_family(family, n)
         assert not validate_aut_element(alg, np.diag([1.0] + [0.0] * (n - 1)), tol=1e-8)
         assert not validate_aut_element(alg, np.diag([1.0, 0.0] + [1.0] * (n - 2)), tol=1e-8)
+
+    @pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
+    def test_verify_orbit_draws_are_automorphisms(self, family):
+        # verify's orbit recipe draws from all of GL(n - 2) on the trailing
+        # block, both orientations included
+        rng = SplitMix64(30)
+        trailing_dets = []
+        for n in range(3, 9):
+            alg = build_family(family, n)
+            for _ in range(100):
+                phi = _pattern_automorphism(rng, n)
+                assert validate_aut_element(alg, phi, tol=1e-10)
+                trailing_dets.append(np.linalg.det(phi[2:, 2:]))
+        assert min(trailing_dets) < 0.0 < max(trailing_dets)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import milnor_frames
+from milnor_frames import verify
 
 
 def test_public_names_resolve_and_are_listed_once_in_order():
@@ -81,3 +82,16 @@ def test_no_module_reads_the_environment():
             if {"environ", "environb", "getenv", "getenvb"} & set(names):
                 readers.add(path.name)
     assert readers == set()
+
+
+def test_every_verify_check_has_one_acceptance_test():
+    # a check added to verify cannot skip tier-1: each one in ALL_CHECKS is
+    # passed to _run by exactly one test in test_acceptance.py
+    path = Path(__file__).with_name("test_acceptance.py")
+    run = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(top, ast.FunctionDef) and top.name.startswith("test_"):
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_run":
+                    run += [ast.unparse(arg) for arg in node.args]
+    assert sorted(run) == sorted(f"verify.{check.__name__}" for check in verify.ALL_CHECKS)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from milnor_frames import RandomMetricSpec, SplitMix64, gram_to_group_element, sample_metric
+from milnor_frames import RandomMetricSpec, SplitMix64, gram_to_group_element, jacobi_eigh, sample_metric
+from milnor_frames import sampling
 
 
 def test_splitmix64_reference_vector():
@@ -58,6 +59,23 @@ def test_same_seed_same_matrix():
     ])
     for _ in range(2):
         assert sample_metric(RandomMetricSpec(seed=42), 4).tobytes() == want.tobytes()
+
+
+def test_spectral_norm_is_one_eigen_step(monkeypatch):
+    # one eigen path: ||A^T A|| is the largest eigenvalue from jacobi_eigh, and no SVD runs
+    calls = []
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return jacobi_eigh(a)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("sample_metric called svd")
+
+    monkeypatch.setattr(sampling, "jacobi_eigh", counting)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    sample_metric(RandomMetricSpec(seed=42), 5)
+    assert calls == [(5, 5)]
 
 
 def test_different_seeds_differ():
