@@ -13,13 +13,11 @@ For a generic metric G the frame is the lower-triangular group element g
 of ``frame_reduction`` ((g g^T)^{-1} = G, so the columns of g are
 orthonormal for G), the frame that ``reduce`` also starts from, after
 the same Gram checks; the Ricci eigenvalues do not depend on that
-choice.  For the two built-in families with frame parameter λ the
-operator is also available in closed form:
-
-* ``rh2+abelian``: diag(-1 - λ²/2, -1 - λ²/2, 0, ..., 0, λ²/2)
-* ``rh-line``: diagonal (-(n-2) - λ²/2, -λ²/2, -(n-2), ..., -(n-2),
-  λ²/2 - (n-2)) plus the symmetric coupling (n-1)λ/2 in positions
-  (2, n) and (n, 2).
+choice.  The two built-in families are almost abelian, R e_1 ⋉ u with
+ad(e_1)|u = A_λ (``lie_core._pattern_operator``) in the frame with
+parameter λ, so their operator is also available in closed form,
+``_almost_abelian_ricci`` at A_λ (Lauret 2011; Arroyo 2013):
+Ric = diag(-tr S², ½[A, Aᵀ] - (tr A) S) with S = (A + Aᵀ)/2.
 
 Every eigenvalue comes from ``eigensolve.jacobi_eigh`` (LAPACK's
 ``eigvalsh`` behind finiteness checks).  A signature computed from a
@@ -46,7 +44,9 @@ import numpy as np
 from .eigensolve import jacobi_eigh
 from .errors import ShapeError, SingularMatrixError
 from .frame_reduction import gram_to_group_element
-from .lie_core import Family, LieAlgebra, _checked_family, _freeze, _refuse_above_cap, change_basis
+from .lie_core import (
+    Family, LieAlgebra, _checked_family, _freeze, _pattern_operator, _refuse_above_cap, change_basis,
+)
 
 SIGNATURE_TOL = 1e-8
 _SLAB_ENTRIES = 1 << 14
@@ -156,39 +156,31 @@ def ricci_operator(g: LieAlgebra, G: np.ndarray) -> RicciReport:
     return _report(_ricci_matrix(moved))
 
 
-def _signature_pair(family: Family, n: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """(degenerate member for λ = 0, member for λ > 0)."""
-    if family is Family.RH2_SUM_ABELIAN:
-        return (2, n - 2, 0), (2, n - 3, 1)
-    return (n - 1, 1, 0), (n - 1, 0, 1)
+def _signature_pair(A: np.ndarray) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """(member at λ = 0, member at λ > 0) for the projector A_λ = A of rank p = tr A."""
+    p = round(float(A.trace()))
+    q = len(A) - p
+    return (p + 1, q, 0), (p + 1, q - 1, 1)
 
 
 def closed_form_ricci(family_tag: Family | str, n: int, lam: float) -> RicciReport:
-    """Ricci operator of the family metric with frame parameter λ, n >= 3.
-
-    The eigenvalues come from the eigen step; the signature is the
-    λ > 0 member of ``_signature_pair`` for every λ > 0 and the
-    degenerate member at λ = 0, exactly.
-    """
-    family = _checked_family(family_tag, n, lam)
-    degenerate, generic = _signature_pair(family, n)
-    return _report(_closed_form_matrix(family, n, lam), generic if lam > 0.0 else degenerate)
+    """Ricci operator of the family metric with frame parameter λ, n >= 3:
+    the eigenvalues from the eigen step, the signature exactly the member
+    of ``_signature_pair`` that λ selects (λ > 0 or λ = 0)."""
+    A = _pattern_operator(_checked_family(family_tag, n, lam), n, lam)
+    degenerate, generic = _signature_pair(A)
+    return _report(_almost_abelian_ricci(A), generic if lam > 0.0 else degenerate)
 
 
-def _closed_form_matrix(family: Family, n: int, lam: float) -> np.ndarray:
-    """The matrix of ``closed_form_ricci``, without the eigen step, for a
-    family, n and λ that ``_checked_family`` has already passed."""
-    ric = np.zeros((n, n))
-    if family is Family.RH2_SUM_ABELIAN:
-        ric[0, 0] = ric[1, 1] = -1.0 - lam * lam / 2.0
-        ric[n - 1, n - 1] = lam * lam / 2.0
-    else:
-        ric[0, 0] = -(n - 2) - lam * lam / 2.0
-        ric[1, 1] = -lam * lam / 2.0
-        for i in range(2, n - 1):
-            ric[i, i] = -(n - 2)
-        ric[n - 1, n - 1] = lam * lam / 2.0 - (n - 2)
-        ric[1, n - 1] = ric[n - 1, 1] = (n - 1) * lam / 2.0
+def _almost_abelian_ricci(A: np.ndarray) -> np.ndarray:
+    """Ricci operator of R e_1 ⋉ u, u abelian, with ad(e_1)|u = A, in an
+    orthonormal frame of e_1 and of u; the matrix of ``closed_form_ricci``
+    at A = A_λ.  An overflow to inf or NaN is left to the eigen step."""
+    ric = np.zeros((len(A) + 1,) * 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = 0.5 * (A + A.T)
+        ric[0, 0] = -np.vdot(S, S)
+        ric[1:, 1:] = 0.5 * (A @ A.T - A.T @ A) - A.trace() * S
     return ric
 
 

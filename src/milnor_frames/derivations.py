@@ -72,15 +72,15 @@ def _leibniz_gram(c: np.ndarray) -> np.ndarray:
     B = C0 C0^T (C1 = c.reshape(n^2, n), C0 = c.reshape(n, n^2)),
     E[a,b,a',b'] = sum_j c[b',j,b] c[a',j,a] and F[a,b,a',b'] =
     sum_k c[a,b',k] c[b,a',k]: two (n^2, n) x (n, n^2) products and two
-    diagonal-block adds.  F - E - E^T is written into the one output
-    buffer, so h, e and the Gram are the only n^4-entry arrays."""
+    diagonal-block adds.  -E - E^T comes from e = -(Cj Cj^T), the n^3 factor
+    negated, and e is dropped before h = C1 C1^T: two n^4 arrays at once."""
     n = c.shape[0]
     c0, c1 = c.reshape(n, n * n), c.reshape(n * n, n)
     cj = c.transpose(0, 2, 1).reshape(n * n, n)  # cj[(a, b), j] = c[a, j, b]
-    h = (c1 @ c1.T).reshape(n, n, n, n)  # F is h with its axes permuted
-    e = (cj @ cj.T).reshape(n, n, n, n)  # E and E^T are e with its axes permuted
-    gram = np.subtract(h.transpose(0, 2, 3, 1), e.transpose(1, 3, 0, 2), out=np.empty((n, n, n, n)))
-    gram -= e.transpose(0, 2, 1, 3)
+    e = (cj @ -cj.T).reshape(n, n, n, n)  # -E and -E^T are e with its axes permuted
+    gram = np.add(e.transpose(1, 3, 0, 2), e.transpose(0, 2, 1, 3), out=np.empty((n, n, n, n)))
+    del e
+    gram += (c1 @ c1.T).reshape(n, n, n, n).transpose(0, 2, 3, 1)  # F is h with its axes permuted
     diag = np.arange(n)
     gram[diag, :, diag, :] += 0.5 * (c1.T @ c1)
     gram[:, diag, :, diag] += c0 @ c0.T

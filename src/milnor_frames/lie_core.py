@@ -5,10 +5,11 @@ A Lie algebra of dimension n is stored as a rank-3 tensor ``c`` with
 in the text file format indices are 1-based, matching the usual
 ``e_1, ..., e_n`` notation; the arrays themselves are 0-based.
 
-Two families are built in:
-
-* ``rh2+abelian``: ``[e_1, e_2] = e_2`` and everything else abelian.
-* ``rh-line``: ``[e_1, e_i] = e_i`` for ``i = 3..n``.
+Two families are built in, both almost abelian: R e_1 ⋉ u with
+u = span(e_2, ..., e_n) abelian and, in the frame with parameter λ,
+ad(e_1)|u = A_λ (``_pattern_operator``), so c[0, 1:, 1:] = A_λ^T.  The
+canonical basis is λ = 0: ``rh2+abelian`` has ``[e_1, e_2] = e_2`` and
+``rh-line`` has ``[e_1, e_i] = e_i`` for ``i = 3..n``.
 
 Every value is immutable after construction and every function here is
 pure, so the module is safe to use from multiple threads.
@@ -153,16 +154,25 @@ def _checked_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
 
 
-def _canonical_constants(family: Family, n: int) -> np.ndarray:
-    """Structure tensor of a built-in family in its canonical basis."""
-    c = np.zeros((n, n, n))
+def _pattern_operator(family: Family, n: int, lam: float) -> np.ndarray:
+    """A_λ, the matrix of ad(e_1) on u = span(e_2, ..., e_n), a projector:
+    (e_2 + λ e_n) e_2^T for ``rh2+abelian`` and P - λ e_n e_2^T, P = diag(0, 1, ..., 1),
+    for ``rh-line``.  The one family branch outside ``verify``'s oracles."""
+    A = np.zeros((n - 1, n - 1))
     if family is Family.RH2_SUM_ABELIAN:
-        c[0, 1, 1] = 1.0
-        c[1, 0, 1] = -1.0
+        A[0, 0], A[-1, 0] = 1.0, lam
     else:
-        for i in range(2, n):
-            c[0, i, i] = 1.0
-            c[i, 0, i] = -1.0
+        A[1:, 1:] = np.eye(n - 2)
+        A[-1, 0] -= lam  # from +0.0, so λ = 0 leaves no -0.0
+    return A
+
+
+def _almost_abelian_constants(A: np.ndarray) -> np.ndarray:
+    """c of R e_1 ⋉ u with ad(e_1)|u = A: c[0, 1:, 1:] = A^T, exactly antisymmetric."""
+    n = len(A) + 1
+    c = np.zeros((n, n, n))
+    c[0, 1:, 1:] = A.T
+    c[1:, 0, 1:] -= A.T  # from +0.0: no -0.0 where A vanishes
     return c
 
 
@@ -173,24 +183,18 @@ def build_family(family_tag: Family | str, n: int) -> LieAlgebra:
     ``rh-line`` has [e_1, e_i] = e_i for i = 3..n.  Requires n >= 3.
     """
     family = _checked_family(family_tag, n)
-    return LieAlgebra._computed(_canonical_constants(family, n), family)
+    return LieAlgebra._computed(_almost_abelian_constants(_pattern_operator(family, n, 0.0)), family)
 
 
 def milnor_pattern(family_tag: Family | str, n: int, lam: float) -> LieAlgebra:
-    """Bracket relations of the reduced orthonormal frame with parameter λ.
+    """Bracket relations of the reduced orthonormal frame with parameter λ:
+    ad(x_1) = A_λ on span(x_2, ..., x_n) (``_pattern_operator``).
 
     For ``rh2+abelian``: [x_1, x_2] = x_2 + λ x_n.
     For ``rh-line``:     [x_1, x_2] = -λ x_n and [x_1, x_i] = x_i, i >= 3.
-
-    These are the canonical constants of :func:`build_family` plus the
-    coupling ±λ at (1, 2, n).
     """
     family = _checked_family(family_tag, n, lam)
-    c = _canonical_constants(family, n)
-    coupling = lam if family is Family.RH2_SUM_ABELIAN else -lam
-    c[0, 1, n - 1] += coupling
-    c[1, 0, n - 1] -= coupling
-    return LieAlgebra._computed(c)
+    return LieAlgebra._computed(_almost_abelian_constants(_pattern_operator(family, n, lam)))
 
 
 def bracket(g: LieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import _closed_form_matrix
+from .curvature import _almost_abelian_ricci
 from .derivations import DerivationBasis, _forbidden_mask
 from .errors import ShapeError
 from .frame_reduction import DEFAULT_TOL, _frame_parameter
-from .lie_core import LieAlgebra, _checked_tol, _freeze
+from .lie_core import LieAlgebra, _checked_tol, _freeze, _pattern_operator
 
 
 @dataclass(frozen=True)
@@ -152,5 +152,5 @@ def classify_metric(
     """
     _checked_tol(tol)
     lam = _frame_parameter(g_alg, G)[0]
-    ric = _closed_form_matrix(g_alg.family_tag, g_alg.dim, lam)
+    ric = _almost_abelian_ricci(_pattern_operator(g_alg.family_tag, g_alg.dim, lam))
     return _family_fit(ric, lam, tol), lam

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import _closed_form_matrix, _report, _signature_pair, levi_civita, ricci_operator, riemann
+from .curvature import (
+    _almost_abelian_ricci, _report, _signature_pair, levi_civita, ricci_operator, riemann,
+)
 from .derivations import (
     conjugated_derivation_basis,
     derivation_basis,
@@ -24,7 +26,7 @@ from .derivations import (
     pattern_check,
 )
 from .frame_reduction import DEFAULT_TOL, _frame_parameter, gram_to_group_element, reduce
-from .lie_core import FAMILIES, Family, build_family, milnor_pattern
+from .lie_core import FAMILIES, Family, _pattern_operator, build_family, milnor_pattern
 from .sampling import RandomMetricSpec, SplitMix64, sample_metric
 from .solvsoliton import SolitonVerdict, classify_metric, solvsoliton_solve
 
@@ -157,7 +159,7 @@ def check_ricci_closed_form() -> CriterionResult:
             for lam in LAMBDA_GRID:
                 alg = milnor_pattern(family, n, lam)
                 got = ricci_operator(alg, np.eye(n)).ric
-                want = _closed_form_matrix(family, n, lam)
+                want = _almost_abelian_ricci(_pattern_operator(family, n, lam))
                 worst = max(worst, float(np.max(np.abs(got - want))))
             alg = build_family(family, n)
             for _ in range(20):
@@ -165,7 +167,7 @@ def check_ricci_closed_form() -> CriterionResult:
                 got = ricci_operator(alg, G).ric
                 fr = reduce(alg, G)
                 Q = np.sqrt(fr.scale_k) * np.linalg.solve(gram_to_group_element(G), fr.frame)
-                want = fr.scale_k * Q @ _closed_form_matrix(family, n, fr.lam) @ Q.T
+                want = fr.scale_k * Q @ _almost_abelian_ricci(_pattern_operator(family, n, fr.lam)) @ Q.T
                 worst_sampled = max(worst_sampled, float(np.max(np.abs(got - want)) / np.max(np.abs(got))))
     elapsed = time.perf_counter() - t0
     passed = worst <= 1e-9 and worst_sampled <= 1e-9 and elapsed < 5.0
@@ -263,7 +265,7 @@ def check_signature_dichotomy() -> CriterionResult:
     for family in FAMILIES:
         for n in range(3, 7):
             alg = build_family(family, n)
-            degenerate, generic = _signature_pair(family, n)
+            degenerate, generic = _signature_pair(_pattern_operator(family, n, 0.0))
             for _ in range(150):
                 G = sample_metric(RandomMetricSpec(seed=seed_stream.next_uint64()), n)
                 sig = ricci_operator(alg, G).signature
@@ -300,7 +302,7 @@ def check_block_characteristic_polynomial() -> CriterionResult:
     worst_at = ""
     for n in range(3, 9):
         for lam in (0.0, 1.0, 3.0):
-            ric = _closed_form_matrix(Family.RH_LINE_SUM, n, lam)
+            ric = _almost_abelian_ricci(_pattern_operator(Family.RH_LINE_SUM, n, lam))
             idx = np.ix_((1, n - 1), (1, n - 1))
             block = 2.0 * ric[idx]
             mu = _report(block).eigenvalues
@@ -345,7 +347,7 @@ def check_solvsoliton_classification() -> CriterionResult:
     seed_stream = SplitMix64(0x5EED0003)
 
     def against_oracles(family: Family, n: int, verdict: SolitonVerdict, lam: float) -> None:
-        ric = _closed_form_matrix(family, n, lam)
+        ric = _almost_abelian_ricci(_pattern_operator(family, n, lam))
         dense = solvsoliton_solve(ric, conjugated_derivation_basis(family_derivation_basis(n), lam))
         scale = float(np.linalg.norm(ric))
         dev = (
@@ -413,7 +415,7 @@ def check_einstein_nonexistence() -> CriterionResult:
             for _ in range(50):
                 G = sample_metric(RandomMetricSpec(seed=seed_stream.next_uint64()), n)
                 verdict, lam = classify_metric(alg, G)
-                ric_norm = float(np.linalg.norm(_closed_form_matrix(family, n, lam)))
+                ric_norm = float(np.linalg.norm(_almost_abelian_ricci(_pattern_operator(family, n, lam))))
                 worst_ratio = min(worst_ratio, verdict.einstein_residual / ric_norm)
     passed = worst_ratio > 1e-3
     return _result(

@@ -340,7 +340,7 @@ def test_dim_over_the_structure_tensor_cap_exits_1(monkeypatch, capsys):
     def refuse(*_):
         raise AssertionError("allocated before the size check")
 
-    monkeypatch.setattr(lie_core, "_canonical_constants", refuse)
+    monkeypatch.setattr(lie_core, "_almost_abelian_constants", refuse)
     code, out, err = run_cli(["derivations", "--family", "rh-line", "--dim", "204"], capsys)
     assert code == 1
     assert out == ""

@@ -22,7 +22,9 @@ from milnor_frames import (
     sample_metric,
     signature,
 )
+from milnor_frames.curvature import _almost_abelian_ricci, _ricci_matrix, _signature_pair
 from milnor_frames.errors import UnsupportedFamilyError
+from milnor_frames.lie_core import _almost_abelian_constants
 
 LAMBDAS = (0.0, 0.5, 1.0, 2.0, 7.3)
 
@@ -289,6 +291,54 @@ class TestClosedForm:
         for tag in ("custom", "so3"):
             with pytest.raises(UnsupportedFamilyError):
                 closed_form_ricci(tag, 4, 0.0)
+
+
+REFERENCE_LAMBDAS = (0.0, 1e-9, 1e-6, 0.5, 1.0, 7.3, 1e4, 1e6)
+
+
+def _reference_ricci(family, n, lam):
+    """The closed-form Ricci operators typed out entry by entry."""
+    ric = np.zeros((n, n))
+    if family == "rh2+abelian":
+        ric[0, 0] = ric[1, 1] = -1.0 - lam * lam / 2.0
+        ric[n - 1, n - 1] = lam * lam / 2.0
+    else:
+        ric[0, 0] = -(n - 2) - lam * lam / 2.0
+        ric[1, 1] = -lam * lam / 2.0
+        for i in range(2, n - 1):
+            ric[i, i] = -(n - 2)
+        ric[n - 1, n - 1] = lam * lam / 2.0 - (n - 2)
+        ric[1, n - 1] = ric[n - 1, 1] = (n - 1) * lam / 2.0
+    return ric
+
+
+class TestAlmostAbelianModel:
+    @pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
+    def test_closed_form_matches_the_hand_typed_reference(self, family):
+        for n in range(3, 25):
+            for lam in REFERENCE_LAMBDAS:
+                want = _reference_ricci(family, n, lam)
+                got = closed_form_ricci(family, n, lam).ric
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_formula_matches_the_generic_pipeline(self, n):
+        # any A: R e_1 ⋉ u with ad(e_1)|u = A is Lie, since u is abelian
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            A = rng.standard_normal((n - 1, n - 1))
+            got = _almost_abelian_ricci(A)
+            want = _ricci_matrix(LieAlgebra(dim=n, c=_almost_abelian_constants(A)))
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_no_hidden_rank_one_assumption(self):
+        # p = q = 2: the projector diag(I_2, 0_2) at n = 5, neither family
+        A = np.diag([1.0, 1.0, 0.0, 0.0])
+        ric = _almost_abelian_ricci(A)
+        want = _ricci_matrix(LieAlgebra(dim=5, c=_almost_abelian_constants(A)))
+        assert np.max(np.abs(ric - want)) <= 1e-14 * np.max(np.abs(want))
+        np.testing.assert_array_equal(ric, np.diag([-2.0, -2.0, -2.0, 0.0, 0.0]))
+        assert _signature_pair(A)[0] == signature(ric) == (3, 2, 0)
 
 
 class TestSignature:

@@ -54,6 +54,27 @@ def _random_antisymmetric(n):
     return a - a.transpose(1, 0, 2)
 
 
+REFERENCE_LAMBDAS = (0.0, 1e-9, 1e-6, 0.5, 1.0, 7.3, 1e4, 1e6)
+
+
+def _reference_constants(family, n, lam):
+    """The Milnor pattern typed out: [x_1, x_2] = x_2 + λ x_n for
+    rh2+abelian; [x_1, x_i] = x_i (i >= 3) and [x_1, x_2] = -λ x_n for
+    rh-line; the canonical basis at λ = 0."""
+    c = np.zeros((n, n, n))
+    if family == "rh2+abelian":
+        c[0, 1, 1] = 1.0
+        c[1, 0, 1] = -1.0
+    else:
+        for i in range(2, n):
+            c[0, i, i] = 1.0
+            c[i, 0, i] = -1.0
+    coupling = lam if family == "rh2+abelian" else -lam
+    c[0, 1, n - 1] += coupling
+    c[1, 0, n - 1] -= coupling
+    return c
+
+
 class TestBuildFamily:
     def test_rh2_abelian_n3(self):
         alg = build_family("rh2+abelian", 3)
@@ -69,6 +90,16 @@ class TestBuildFamily:
         want[0, 2, 2] = 1.0
         want[2, 0, 2] = -1.0
         np.testing.assert_array_equal(alg.c, want)
+
+    @pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
+    def test_constants_match_the_hand_typed_reference(self, family):
+        # the A_λ model against the relations written out entry by entry
+        for n in range(3, 25):
+            alg = build_family(family, n)
+            np.testing.assert_array_equal(alg.c, _reference_constants(family, n, 0.0))
+            assert alg.family_tag is Family(family)
+            for lam in REFERENCE_LAMBDAS:
+                np.testing.assert_array_equal(milnor_pattern(family, n, lam).c, _reference_constants(family, n, lam))
 
     @pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
     def test_dim_too_small(self, family):
@@ -232,7 +263,7 @@ class TestDimensionCaps:
         def refuse(*_):
             raise AssertionError("allocated before the size check")
 
-        monkeypatch.setattr(lie_core, "_canonical_constants", refuse)
+        monkeypatch.setattr(lie_core, "_almost_abelian_constants", refuse)
         with pytest.raises(DimensionError, match="cap"):
             build_family("rh-line", 204)
         with pytest.raises(DimensionError, match="cap"):

@@ -70,6 +70,37 @@ def test_leibniz_svd_is_called_only_in_verify():
     assert _modules_calling({"derivation_basis"}) == {"verify.py"}
 
 
+def _family_branches(src):
+    """(source file, top-level definition) of each comparison against a
+    built-in family, by enum member or by its string value."""
+    members = {"RH2_SUM_ABELIAN", "RH_LINE_SUM"}
+    values = {"rh2+abelian", "rh-line"}
+    sites = set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Compare) and any(
+                    getattr(leaf, "attr", None) in members or getattr(leaf, "value", None) in values
+                    for side in (node.left, *node.comparators)
+                    for leaf in ast.walk(side)
+                ):
+                    sites.add((path.name, getattr(top, "name", "<module>")))
+    return sites
+
+
+def test_only_the_pattern_operator_and_verify_oracles_branch_on_a_family():
+    # one almost-abelian model: every family closed form reads A_λ, and
+    # verify's hand-typed oracles stay independent of it
+    sites = _family_branches(Path(milnor_frames.__file__).parent)
+    assert ("lie_core.py", "_pattern_operator") in sites
+    assert sites - {
+        ("lie_core.py", "_pattern_operator"),
+        ("verify.py", "_expected_connection"),
+        ("verify.py", "_expected_curvature_rows"),
+        ("verify.py", "_soliton_residual_formula"),
+    } == set()
+
+
 def test_no_module_reads_the_environment():
     # every setting is a flag or an argument: os.environ and getenv appear nowhere
     src = Path(milnor_frames.__file__).parent
