@@ -43,7 +43,7 @@ import numpy as np
 
 from .eigensolve import jacobi_eigh
 from .errors import ShapeError, SingularMatrixError
-from .frame_reduction import gram_to_group_element
+from .frame_reduction import _factor_gram
 from .lie_core import (
     Family, LieAlgebra, _checked_family, _freeze, _pattern_operator, _refuse_above_cap, change_basis,
 )
@@ -141,14 +141,14 @@ def _signature(w: np.ndarray) -> tuple[int, int, int]:
 def ricci_operator(g: LieAlgebra, G: np.ndarray) -> RicciReport:
     """Ricci operator of the metric G on g, reported in an orthonormal frame.
 
-    G passes ``reduce``'s Gram gate, size first, in ``gram_to_group_element``;
-    the frame is its group element g = U^{-T}, which has U's singular-value
-    ratio, so a singular g is a singular G.  The structure constants are
-    pushed into g and the Koszul / curvature pipeline contracts down to the
-    operator.  For a family metric that ``reduce`` takes to (X, k, λ) the
-    matrix is k Q Ric(λ) Q^T, with Q = sqrt(k) g^{-1} X orthogonal and Ric(λ) the closed form.
+    G passes ``reduce``'s Gram gate, ``_factor_gram``, size first; the frame is its
+    group element g = U^{-T}, with U's singular-value ratio, so ``change_basis``
+    refuses a singular G.  The structure constants are pushed into g and the
+    Koszul / curvature pipeline contracts down to the operator.  For a family
+    metric that ``reduce`` takes to (X, k, λ) the matrix is k Q Ric(λ) Q^T, with
+    Q = sqrt(k) g^{-1} X orthogonal and Ric(λ) the closed form.
     """
-    frame = gram_to_group_element(G, g.dim)
+    frame = np.linalg.inv(_factor_gram(G, g.dim)[1]).T
     try:
         moved = change_basis(g, frame)
     except SingularMatrixError as exc:

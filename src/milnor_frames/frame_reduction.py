@@ -36,9 +36,9 @@ Parameters λ below 1e-9 are snapped to exactly 0 so downstream
 classifiers see the boundary case sharply.
 
 Every Gram matrix passes one gate, ``_factor_gram``, which validates and
-factors it once; ``gram_to_group_element`` and ``_frame_parameter`` are
-its only callers.  ``parse_gram`` reads the text format and leaves the
-validation to that gate.
+factors it once for its callers ``gram_to_group_element``, ``_frame_parameter``
+and ``curvature.ricci_operator``; ``parse_gram`` only parses.  Each caller
+refuses a G singular to working precision by ``lie_core._singular_ratio``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import numpy as np
 from .derivations import _forbidden_mask
 from .errors import NotPositiveDefiniteError, ShapeError, SingularMatrixError
 from .lie_core import (
-    SINGULAR_RTOL, LieAlgebra, _checked_family, _checked_tol, _freeze, _push_lower, change_basis,
+    LieAlgebra, _checked_family, _checked_tol, _freeze, _push_lower, _singular_ratio, change_basis,
     milnor_pattern,
 )
 
@@ -64,10 +64,9 @@ def _factor_gram(G: np.ndarray, n: int | None = None) -> tuple[np.ndarray, np.nd
     upper triangular: the one Gram gate.  Checks, in order: square, n x n
     (n is the algebra's dimension, if given), finite, symmetric, definite.
 
-    It stops at definiteness and leaves a singular G to the consumer's own
-    SVD (``_frame_parameter``'s of U, ``change_basis``'s of g): one here
-    would be a second SVD on every ``ricci_operator`` call, 12-22 us at
-    n = 8-16 against about 0.5 ms per ``classify-large`` item."""
+    It stops at definiteness: the consumer's one ``_singular_ratio`` pass, on U
+    or on g = U^{-T} (same ratio), refuses a singular G; one here would cost every
+    ``ricci_operator`` call 12-22 us more at n = 8-16, of ~0.5 ms per ``classify-large`` item."""
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ShapeError(f"Gram matrix must be square, got {G.shape}")
@@ -96,13 +95,11 @@ def gram_to_group_element(G: np.ndarray, n: int | None = None) -> np.ndarray:
     g = U^{-T}.  With this convention the map is the identity on
     lower-triangular matrices with positive diagonal: if g is such a
     matrix, gram_to_group_element((g g^T)^{-1}) reproduces g.  Given n, G must be n x n.
-
-    A G singular to working precision (cond(G) >= 1e24, s_min <= 1e-12
-    s_max for U) is not refused here.  ``reduce`` and ``classify_metric``
-    refuse it by ``_frame_parameter``'s SVD of U, and ``ricci_operator`` by
-    ``change_basis``'s SVD of g, which has the same singular-value ratio.
     """
-    return np.linalg.inv(_factor_gram(G, n)[1]).T
+    U = _factor_gram(G, n)[1]
+    if _singular_ratio(U) == np.inf:
+        raise SingularMatrixError("Gram matrix is singular to working precision")
+    return np.linalg.inv(U).T
 
 
 @dataclass(frozen=True)
@@ -145,19 +142,19 @@ def _frame_parameter(
 
     λ and v_2 are read off U's second row (module docstring), with λ
     below ``LAMBDA_SNAP`` snapped to 0.  U, and so the frame
-    X = g blockdiag(I_2, B^T) / g_11, is refused as singular when
-    s_min <= ``SINGULAR_RTOL`` s_max; cond(G) = (s_max / s_min)^2.
+    X = g blockdiag(I_2, B^T) / g_11, is refused as singular by
+    ``_singular_ratio``; cond(G) is the square of U's ratio.
     """
     _checked_family(g_alg.family_tag, g_alg.dim)
     G, U = _factor_gram(G, g_alg.dim)
-    s = np.linalg.svd(U, compute_uv=False)
-    if s[-1] <= SINGULAR_RTOL * s[0]:
+    ratio = _singular_ratio(U)
+    if ratio == np.inf:
         raise SingularMatrixError("Gram matrix is singular to working precision")
     v2 = -U[1, 2:] / U[1, 1]
     lam = float(np.linalg.norm(v2))
     if lam < LAMBDA_SNAP:
         lam = 0.0
-    return lam, v2, G, U, float((s[0] / s[-1]) ** 2)
+    return lam, v2, G, U, ratio * ratio
 
 
 def reduce(g_alg: LieAlgebra, G: np.ndarray) -> MilnorFrame:
@@ -228,7 +225,7 @@ def validate_aut_element(g_alg: LieAlgebra, M: np.ndarray, tol: float = DEFAULT_
     With φ = M / M[1][1]: True iff φ vanishes where Der(g) does except at
     (1,1), since the scaled automorphisms have Lie algebra R I + Der(g),
     satisfies φ[x, y] = [φ x, φ y] over all basis pairs, and is invertible
-    (the singular-value test of ``change_basis``).  Zero entries and the
+    (``_singular_ratio``, the rule of ``change_basis``).  Zero entries and the
     equation defect are held to one bound, tol max|φ|, which φ_11 = 1 must
     exceed, so s M gets the verdict of M for every scalar s != 0; ``tol``
     must be positive and finite (``ValueError``).  Refuses CUSTOM algebras,
@@ -249,8 +246,7 @@ def validate_aut_element(g_alg: LieAlgebra, M: np.ndarray, tol: float = DEFAULT_
     defect = max(np.max(np.abs(phi[zero_positions])), np.max(np.abs(eq)))
     if not float(defect) <= tol * float(np.max(np.abs(phi))) < 1.0:
         return False
-    s = np.linalg.svd(phi, compute_uv=False)
-    return bool(s[-1] > SINGULAR_RTOL * s[0])
+    return _singular_ratio(phi) < np.inf
 
 
 # --- Gram matrix text format: n lines of n space-separated decimals ------

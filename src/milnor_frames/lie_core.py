@@ -51,7 +51,14 @@ TENSOR_MAX_BYTES = 1 << 26
 n <= 203 for the n^3-entry structure tensor, n <= 53 for the n^4-entry
 Riemann tensor and Jacobi contraction (so for every ``LieAlgebra(...)``),
 and n <= 24 for n^5 entries, the bound ``derivation_basis`` keeps on its
-n^2 x n^2 eigen step (it forms no n^5 array: 8 MiB peak at n = 24)."""
+n^2 x n^2 eigen step (it forms no n^5 array: 5.4 MiB peak at n = 24)."""
+
+
+def _singular_ratio(M: np.ndarray) -> float:
+    """s_max / s_min of a finite square M from one SVD, or inf when M is singular
+    to working precision (s_min <= SINGULAR_RTOL s_max): every gate's one rule."""
+    s = np.linalg.svd(M, compute_uv=False)
+    return float(s[0] / s[-1]) if s[-1] > SINGULAR_RTOL * s[0] else np.inf
 
 
 def _refuse_above_cap(what: str, n: int, rank: int) -> None:
@@ -245,8 +252,7 @@ def change_basis(g: LieAlgebra, basis: np.ndarray) -> LieAlgebra:
         raise ShapeError(f"basis matrix must be {n}x{n}, got {P.shape}")
     if not np.all(np.isfinite(P)):
         raise ShapeError("basis matrix must be finite")
-    s = np.linalg.svd(P, compute_uv=False)
-    if s[-1] <= SINGULAR_RTOL * s[0]:
+    if _singular_ratio(P) == np.inf:
         raise SingularMatrixError("basis matrix is singular to working precision")
     cp = _push_lower((g.c.reshape(n * n, n) @ np.linalg.inv(P).T).reshape(n, n, n), P)
     # Kill the antisymmetry drift from floating-point summation order.  The

@@ -236,6 +236,18 @@ class TestRicciOperator:
         want = fr.scale_k * Q @ closed_form_ricci(family, n, fr.lam).ric @ Q.T
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(got))
 
+    @pytest.mark.xfail(strict=True, reason="known defect: _signature's band hides the O(λ²) eigenvalue")
+    @pytest.mark.parametrize("family", ["rh2+abelian", "rh-line"])
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("lam", [1e-5, 4e-5, 1e-4])
+    def test_signature_follows_lambda_on_the_frame_metric(self, family, n, lam):
+        # G = (g_λ g_λ^T)^{-1}, on which reduce recovers λ within 5e-16 relative;
+        # the generic pipeline's band reads the small positive eigenvalue as 0
+        g = np.eye(n)
+        g[n - 1, 1] = -lam
+        got = ricci_operator(build_family(family, n), np.linalg.inv(g @ g.T)).signature
+        assert got == closed_form_ricci(family, n, lam).signature
+
     def test_symmetry_of_report(self):
         rep = ricci_operator(build_family("rh-line", 6), np.eye(6))
         scale = np.max(np.abs(rep.ric))

@@ -44,6 +44,10 @@ for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     SO3[i, j, k], SO3[j, i, k] = 1.0, -1.0
 
 
+def group_element(alg, G):
+    return gram_to_group_element(G, alg.dim)
+
+
 def g_lambda(n, lam):
     g = np.eye(n)
     g[n - 1, 1] = -lam
@@ -284,8 +288,28 @@ class TestReduce:
             fn(alg, G)
         assert len(calls) == 3
 
+    @pytest.mark.parametrize(
+        "fn, passes", [(reduce, 2), (ricci_operator, 1), (classify_metric, 1), (group_element, 1)]
+    )
+    def test_singular_value_passes_per_call(self, fn, passes, monkeypatch):
+        # the singular rule costs each consumer one SVD (reduce's certificate
+        # change_basis takes the second), so no benchmarked path gains one
+        calls = []
+        real = np.linalg.svd
 
-@pytest.mark.parametrize("fn", [reduce, classify_metric, ricci_operator])
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        alg = build_family("rh-line", 6)
+        G = sample_metric(RandomMetricSpec(seed=6), 6)
+        for _ in range(3):
+            fn(alg, G)
+        assert len(calls) == 3 * passes
+
+
+@pytest.mark.parametrize("fn", [reduce, classify_metric, ricci_operator, group_element])
 @pytest.mark.parametrize(
     "alg, G, exc, match",
     [
@@ -298,8 +322,8 @@ class TestReduce:
     ids=["dim-mismatch", "dim-mismatch-not-pd", "not-pd", "nan", "singular"],
 )
 def test_reduce_and_classify_refuse_alike(fn, alg, G, exc, match):
-    # one Gram gate: classify_metric and ricci_operator refuse exactly what
-    # reduce refuses, with the same message, and the size comes first
+    # one Gram gate: classify_metric, ricci_operator and gram_to_group_element
+    # refuse exactly what reduce refuses, with the same message, size first
     with pytest.raises(exc, match=match):
         fn(alg, G)
 

@@ -22,17 +22,22 @@ def _called_name(node):
     return name
 
 
-def _call_sites(names):
-    """(source file, top-level definition or '<module>') of each call to a
-    function in ``names`` in the package."""
+def _sites(matches):
+    """(source file, top-level definition or '<module>') of each node of the
+    package for which ``matches`` holds."""
     src = Path(milnor_frames.__file__).parent
     sites = set()
     for path in sorted(src.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and _called_name(node) in names:
+                if matches(node):
                     sites.add((path.name, getattr(top, "name", "<module>")))
     return sites
+
+
+def _call_sites(names):
+    """Sites of each call to a function in ``names`` in the package."""
+    return _sites(lambda node: isinstance(node, ast.Call) and _called_name(node) in names)
 
 
 def _modules_calling(names):
@@ -51,13 +56,26 @@ def test_cholesky_is_called_only_in_frame_reduction():
     assert _modules_calling({"cholesky"}) == {"frame_reduction.py"}
 
 
-def test_factor_gram_has_two_callers():
+def test_factor_gram_has_three_callers():
     # one Gram gate per input: parse_gram only parses, and the consumer
-    # factors the array once, through one of these two
+    # factors the array once, through one of these three
     assert _call_sites({"_factor_gram"}) == {
         ("frame_reduction.py", "gram_to_group_element"),
         ("frame_reduction.py", "_frame_parameter"),
+        ("curvature.py", "ricci_operator"),
     }
+
+
+def test_one_function_holds_the_singular_rule():
+    # one singular-matrix rule for every gate: SINGULAR_RTOL is read by
+    # _singular_ratio alone, and the only other SVD is pattern_check's rank
+    # count, which is held to PATTERN_TOL
+    def reads_rtol(node):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        return name == "SINGULAR_RTOL" and isinstance(getattr(node, "ctx", None), ast.Load)
+
+    assert _sites(reads_rtol) == {("lie_core.py", "_singular_ratio")}
+    assert _call_sites({"svd"}) == {("lie_core.py", "_singular_ratio"), ("derivations.py", "pattern_check")}
 
 
 def test_jacobi_defect_is_called_only_in_lie_core():
